@@ -22,7 +22,8 @@ from .errors import ConfigError, ContractError, DatasetFormatError, NumericError
 from .fusion import MeantModel, ModelConfig
 from .graphs import GraphSpec, encode_graph_blob, render_macd_graph, write_ppm
 from .indicators import compute_macd, load_prices_csv
-from .tensor import Tensor, grad_check, gelu, layer_norm, matmul, softmax_last_dim
+from .tensor import (Tensor, attention, grad_check, gelu, layer_norm, matmul,
+                     rotate_pairs, softmax_last_dim)
 from .tokenizer import TokenizerSpec, build_vocab
 from .training import (evaluate, restore_model,
                        save_checkpoint, train, windows_to_arrays)
@@ -242,13 +243,24 @@ def cmd_gradcheck(args) -> int:
         yield "gelu", grad_check(lambda x: gelu(x).sum(),
                                  Tensor(rng.normal(size=(8,))))
         yield "layer_norm", grad_check(
-            lambda x: (layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))
-                       * Tensor(probe6)).sum(),
+            lambda x, gain, bias: (layer_norm(x, gain, bias) * Tensor(probe6)).sum(),
+            Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(1.0, 0.5, size=6)),
+            Tensor(rng.normal(size=6)))
+        yield "attention", grad_check(
+            lambda q, k, v: (attention(q, k, v, 0.5, keys) * Tensor(probe_att)).sum(),
+            Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 5, 4))),
+            Tensor(rng.normal(size=(2, 5, 3))))
+        yield "rotary", grad_check(
+            lambda x: (rotate_pairs(x, cos, sin) * Tensor(probe6)).sum(),
             Tensor(rng.normal(size=(3, 6))))
 
     rng_fixed = rng.normal(size=(4, 2))
     probe = rng.normal(size=(2, 5))
     probe6 = rng.normal(size=(3, 6))
+    probe_att = rng.normal(size=(2, 3, 3))
+    keys = np.array([True, True, False, True, False])
+    # unrelated, non-unit tables stand for rotary angles with an xPos scale
+    cos, sin = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
     for name, err in op_checks():
         status = "ok" if err < 1e-6 else "FAIL"
         print(f"op {name:<12} max rel err {err:.3e}  {status}")

@@ -1,7 +1,8 @@
 """Token/patch embedding and rotary-family positional encodings.
 
-All rotations are applied through differentiable tensor ops, so gradients
-flow through q and k; the angle tables themselves are constants.
+Every rotary-family encoding is one ``rotate_pairs`` node per operand, so
+gradients flow through q and k; the cos/sin tables (with the xPos scale
+folded in) are constants.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, concat, embedding_lookup, matmul
+from .tensor import Tensor, embedding_lookup, matmul, rotate_pairs
 
 ROTARY_BASE = 10000.0
 XPOS_GAMMA = 0.4
@@ -69,33 +70,19 @@ def _pair_freqs(d: int, base: float = ROTARY_BASE) -> np.ndarray:
     return base ** (-2.0 * np.arange(d // 2) / d)
 
 
-def _rotate_half(x: Tensor) -> Tensor:
-    """Per pair (x1, x2) -> (-x2, x1)."""
-    shape = x.shape
-    d = shape[-1]
-    pairs = x.reshape(*shape[:-1], d // 2, 2)
-    x1 = pairs[..., 0:1]
-    x2 = pairs[..., 1:2]
-    return concat([-x2, x1], axis=-1).reshape(*shape)
-
-
-def _apply_rotation(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    return x * Tensor(cos) + _rotate_half(x) * Tensor(sin)
-
-
-def _angles(positions: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    theta = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.repeat(theta, 2, axis=-1)
+def rotary_tables(positions, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the rotary angles, (len(positions), d)."""
+    if d % 2:
+        raise DimensionError(f"rotary needs an even head dim, got {d}")
+    pos = np.asarray(positions, dtype=np.float64)[:, None]
+    theta = np.repeat(pos * _pair_freqs(d)[None, :], 2, axis=-1)
+    return np.cos(theta), np.sin(theta)
 
 
 def apply_rotary(q: Tensor, k: Tensor, positions) -> tuple[Tensor, Tensor]:
     """Standard rotary embedding over the second-to-last (position) axis."""
-    d = q.shape[-1]
-    if d % 2:
-        raise DimensionError(f"rotary needs an even head dim, got {d}")
-    theta = _angles(positions, _pair_freqs(d))
-    cos, sin = np.cos(theta), np.sin(theta)
-    return _apply_rotation(q, cos, sin), _apply_rotation(k, cos, sin)
+    cos, sin = rotary_tables(positions, q.shape[-1])
+    return rotate_pairs(q, cos, sin), rotate_pairs(k, cos, sin)
 
 
 def xpos_scales(positions, d: int, gamma: float = XPOS_GAMMA) -> np.ndarray:
@@ -107,14 +94,11 @@ def xpos_scales(positions, d: int, gamma: float = XPOS_GAMMA) -> np.ndarray:
 def apply_xpos(q: Tensor, k: Tensor, positions) -> tuple[Tensor, Tensor]:
     """Rotary rotation plus the xPos exponential decay on q and 1/decay on k."""
     d = q.shape[-1]
-    if d % 2:
-        raise DimensionError(f"xpos needs an even head dim, got {d}")
-    theta = _angles(positions, _pair_freqs(d))
-    cos, sin = np.cos(theta), np.sin(theta)
+    cos, sin = rotary_tables(positions, d)
     scale = xpos_scales(positions, d)
-    q_rot = _apply_rotation(q, cos, sin) * Tensor(scale)
-    k_rot = _apply_rotation(k, cos, sin) * Tensor(1.0 / scale)
-    return q_rot, k_rot
+    inv = 1.0 / scale
+    return (rotate_pairs(q, cos * scale, sin * scale),
+            rotate_pairs(k, cos * inv, sin * inv))
 
 
 def apply_axial_rotary_2d(q: Tensor, k: Tensor, rows, cols,
@@ -144,4 +128,4 @@ def apply_axial_rotary_2d(q: Tensor, k: Tensor, rows, cols,
         theta[:, half // 2:] = cols[:, None] * freqs[None, :]
     theta = np.repeat(theta, 2, axis=-1)
     cos, sin = np.cos(theta), np.sin(theta)
-    return _apply_rotation(q, cos, sin), _apply_rotation(k, cos, sin)
+    return rotate_pairs(q, cos, sin), rotate_pairs(k, cos, sin)

@@ -15,11 +15,10 @@ import numpy as np
 
 from .embeddings import (PatchSpec, apply_axial_rotary_2d, apply_rotary,
                          apply_xpos, patch_embed, token_embed)
-from .errors import ContractError, DimensionError, NumericError
-from .tensor import Tensor, gelu, layer_norm, matmul, softmax_last_dim
+from .errors import ContractError, DimensionError
+from .tensor import Tensor, attention, gelu, layer_norm, matmul
 
 INIT_STD = 0.02
-MASK_NEG = -1e30
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,12 @@ def _merge(*modules) -> dict[str, Tensor]:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention with optional rope and key masking."""
+    """Scaled dot-product attention with optional rope and key masking.
+
+    The one attention core: the language and vision blocks attend a
+    sequence to itself, ``QueryTargetAttention`` attends the final lag day
+    to the whole window.
+    """
 
     def __init__(self, rng, dim: int, heads: int, name: str,
                  out_scale: float = 1.0):
@@ -96,27 +100,39 @@ class MultiHeadAttention:
         self.wv = Linear(rng, dim, dim, f"{name}.wv", bias=False)
         self.wo = Linear(rng, dim, dim, f"{name}.wo", scale=out_scale, bias=False)
 
-    def _split(self, x: Tensor, b: int, n: int) -> Tensor:
+    @property
+    def scale(self) -> float:
+        return 1.0 / math.sqrt(self.head_dim)
+
+    def _split(self, x: Tensor) -> Tensor:
+        """(b, n, dim) -> (b, heads, n, head_dim)."""
+        b, n, _ = x.shape
         return x.reshape(b, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+
+    def project(self, x_q: Tensor, x_kv: Tensor, rope=None):
+        """Per-head q from ``x_q`` and k, v from ``x_kv``; ``rope(q, k)``
+        rotates q and k."""
+        q = self._split(self.wq(x_q))
+        k = self._split(self.wk(x_kv))
+        v = self._split(self.wv(x_kv))
+        if rope is not None:
+            q, k = rope(q, k)
+        return q, k, v
+
+    def attend(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
+               rope=None) -> Tensor:
+        """Queries from ``x_q`` (b, n_q, dim) attend keys from ``x_kv``
+        (b, n_k, dim); ``mask`` (b, n_k) is True for visible keys."""
+        q, k, v = self.project(x_q, x_kv, rope)
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)[:, None, None, :]
+        out = attention(q, k, v, self.scale, mask)
+        b, _, n, _ = out.shape
+        return self.wo(out.transpose(0, 2, 1, 3).reshape(b, n, self.dim))
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  rope=None) -> Tensor:
-        b, n, _ = x.shape
-        q = self._split(self.wq(x), b, n)
-        k = self._split(self.wk(x), b, n)
-        v = self._split(self.wv(x), b, n)
-        if rope is not None:
-            q, k = rope(q, k)
-        logits = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if (~mask).all(axis=-1).any():
-                raise NumericError("attention row with every key masked")
-            bias = np.where(mask, 0.0, MASK_NEG)[:, None, None, :]
-            logits = logits + Tensor(bias)
-        attn = softmax_last_dim(logits)
-        out = matmul(attn, v).transpose(0, 2, 1, 3).reshape(b, n, self.dim)
-        return self.wo(out)
+        return self.attend(x, x, mask, rope)
 
     def params(self) -> dict[str, Tensor]:
         return _merge(self.wq, self.wk, self.wv, self.wo)

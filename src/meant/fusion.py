@@ -8,16 +8,17 @@ summary of the lag period.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embeddings import PatchSpec, apply_rotary
+from .embeddings import PatchSpec, rotary_tables
 from .encoders import (INIT_STD, EncoderConfig, FeedForward, LanguagePipeline,
-                       LayerNorm, Linear, VisionPipeline, _merge)
+                       LayerNorm, Linear, MultiHeadAttention, VisionPipeline,
+                       _merge)
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, concat, gelu, matmul, softmax_last_dim
+from .tensor import (Tensor, attention_weights, concat, gelu, matmul,
+                     rotate_pairs)
 
 MACD_WIDTH = 5
 
@@ -141,45 +142,35 @@ def fuse_price(l_seq: Tensor | None, macd: Tensor | None) -> Tensor:
 # -- temporal attention ------------------------------------------------
 
 
-class QueryTargetAttention:
+class QueryTargetAttention(MultiHeadAttention):
     """Attention whose query comes from the final (target-adjacent) day."""
 
     def __init__(self, rng, dim: int, heads: int = 1, name: str = "temporal",
                  pos_encoding: str = "none", residual: bool = True,
                  use_ffn: bool = True, mlp_ratio: int = 4,
                  norm_mode: str = "standard"):
-        if dim % heads:
-            raise DimensionError(f"temporal dim {dim} not divisible by {heads} heads")
-        self.dim = dim
-        self.heads = heads
-        self.head_dim = dim // heads
+        super().__init__(rng, dim, heads, name)
         self.pos_encoding = pos_encoding
         self.residual = residual
-        self.wq = Linear(rng, dim, dim, f"{name}.wq", bias=False)
-        self.wk = Linear(rng, dim, dim, f"{name}.wk", bias=False)
-        self.wv = Linear(rng, dim, dim, f"{name}.wv", bias=False)
-        self.wo = Linear(rng, dim, dim, f"{name}.wo", bias=False)
         self.ffn = None
         if use_ffn:
             self.ffn_norm = LayerNorm(dim, f"{name}.ffn_norm", norm_mode)
             self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn", norm_mode)
+
+    def _rope(self, l: int):
+        """Rotary with the query at the final day's position, or None."""
+        if self.pos_encoding != "rotary":
+            return None
+        cos, sin = rotary_tables(np.arange(l), self.head_dim)
+        return lambda q, k: (rotate_pairs(q, cos[l - 1:], sin[l - 1:]),
+                             rotate_pairs(k, cos, sin))
 
     def __call__(self, fused: Tensor) -> Tensor:
         b, l, d = fused.shape
         if l < 1:
             raise ContractError("temporal attention needs at least one lag day")
         target = fused[:, l - 1:l, :]                  # (b, 1, d)
-        q = self.wq(target).reshape(b, 1, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-        k = self.wk(fused).reshape(b, l, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-        v = self.wv(fused).reshape(b, l, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-        if self.pos_encoding == "rotary":
-            positions = np.arange(l)
-            q, _ = apply_rotary(q, q, positions[l - 1:l])
-            _, k = apply_rotary(k, k, positions)
-        logits = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
-        attn = softmax_last_dim(logits)                # (b, heads, 1, l)
-        out = matmul(attn, v).transpose(0, 2, 1, 3).reshape(b, 1, d)
-        out = self.wo(out)
+        out = self.attend(target, fused, rope=self._rope(l))
         if self.residual:
             out = out + target
         if self.ffn is not None:
@@ -188,15 +179,12 @@ class QueryTargetAttention:
 
     def attention_weights(self, fused: Tensor) -> np.ndarray:
         """The softmax row over lag days (diagnostics and tests)."""
-        b, l, d = fused.shape
-        target = fused[:, l - 1:l, :]
-        q = self.wq(target).reshape(b, 1, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-        k = self.wk(fused).reshape(b, l, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-        logits = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
-        return softmax_last_dim(logits).data
+        l = fused.shape[1]
+        q, k, _ = self.project(fused[:, l - 1:l, :], fused, self._rope(l))
+        return attention_weights(q.data, k.data, self.scale)
 
     def params(self) -> dict[str, Tensor]:
-        out = _merge(self.wq, self.wk, self.wv, self.wo)
+        out = super().params()
         if self.ffn is not None:
             out.update(self.ffn_norm.params())
             out.update(self.ffn.params())

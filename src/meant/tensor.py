@@ -3,8 +3,23 @@
 The graph is built define-by-run: every op links its output back to its
 inputs with a closure that routes the upstream gradient. ``backward`` on a
 scalar walks the graph once in reverse topological order and accumulates
-into ``.grad`` buffers. Everything is double precision on purpose -- this
-stack exists to be checked against finite differences, not to be fast.
+into the ``.grad`` of every leaf (a tensor no op produced). It frees the
+graph as it goes: each op node drops its gradient, closure and parents once
+it has passed its gradient on, so one forward supports one ``backward``; a
+second ``backward`` through the same graph raises ``ContractError``.
+
+Besides elementwise, shape and reduction ops, three hot spots of the
+transformer are single nodes with hand-written backwards, so the graph
+keeps none of their intermediates:
+
+- ``attention``: softmax(q k^T * scale, masked keys excluded) @ v, which
+  keeps only the probabilities;
+- ``layer_norm``: standard or rms normalization plus the affine gain/bias;
+- ``rotate_pairs``: the rotation behind rotary, axial 2-D rotary and xPos
+  (whose scale is folded into the cos/sin tables).
+
+Everything is double precision on purpose -- this stack exists to be
+checked against finite differences.
 """
 
 from __future__ import annotations
@@ -34,6 +49,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def _freed(g: np.ndarray) -> None:
+    raise ContractError("backward through a graph that an earlier backward "
+                        "freed; run the forward again")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -92,13 +112,19 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # the first contribution is adopted, later ones add out of place, so
+        # no buffer is ever written through an alias; a leaf keeps a private
+        # copy because its .grad outlives backward and callers may write it
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy() if self._backward is None else g
+        else:
+            self.grad = self.grad + g
 
     # -- autodiff driver ----------------------------------------------
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every leaf's ``.grad`` and free
+        the graph on the way (see the module docstring)."""
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar output, got shape {self.shape}")
@@ -118,9 +144,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _freed, ()
 
     # -- arithmetic ----------------------------------------------------
 
@@ -265,12 +295,9 @@ class Tensor:
         def bwd(g):
             if not self.requires_grad:
                 return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor._from_op(out_data, (self,), bwd)
 
@@ -346,7 +373,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     """Normalize over the last axis, then apply the affine gain/bias.
 
     ``standard`` centers and scales by the standard deviation; ``rms``
-    divides by the root mean square only.
+    divides by the root mean square only. One graph node: backward keeps
+    the normalized input and the per-row scale.
     """
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
@@ -355,16 +383,125 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         raise DimensionError(
             f"affine params of length {gain.shape[-1]}/{bias.shape[-1]} "
             f"do not match last extent {d}")
-    if mode == "standard":
-        centered = x - x.mean(axis=-1, keepdims=True)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + LAYER_NORM_EPS).sqrt()
-    elif mode == "rms":
-        ms = (x * x).mean(axis=-1, keepdims=True)
-        normed = x / (ms + LAYER_NORM_EPS).sqrt()
-    else:
+    if mode not in ("standard", "rms"):
         raise ContractError(f"unknown norm mode {mode!r}")
-    return normed * gain + bias
+
+    def row_mean(a, b):
+        return np.einsum("...i,...i->...", a, b)[..., None] / d
+
+    if mode == "standard":
+        normed = x.data - x.data.mean(axis=-1, keepdims=True)
+        std = np.sqrt(row_mean(normed, normed) + LAYER_NORM_EPS)
+        normed /= std
+    else:
+        std = np.sqrt(row_mean(x.data, x.data) + LAYER_NORM_EPS)
+        normed = x.data / std
+    out_data = normed * gain.data
+    out_data += bias.data
+
+    def bwd(g):
+        if x.requires_grad:
+            # d(normed) projected off the directions normalization removes
+            gn = g * gain.data
+            dx = normed * row_mean(gn, normed)
+            np.subtract(gn, dx, out=dx)
+            if mode == "standard":
+                dx -= gn.mean(axis=-1, keepdims=True)
+            dx /= std
+            x._accumulate(dx)
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return Tensor._from_op(out_data, (x, gain, bias), bwd)
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
+                      mask: np.ndarray | None = None) -> np.ndarray:
+    """softmax(q k^T * scale) over keys; a key where the boolean ``mask``
+    (broadcast against the logits) is False gets a weight of exactly 0."""
+    p = np.matmul(q * scale, k.swapaxes(-1, -2))
+    if mask is not None:
+        p += np.where(mask, 0.0, -np.inf)
+    # a row maximum is NaN exactly when its row holds a NaN
+    row_max = p.max(axis=-1, keepdims=True)
+    if np.isnan(row_max).any():
+        raise NumericError("attention logits contain NaN")
+    p -= row_max
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention softmax(q k^T * scale) @ v as one node.
+
+    q is (..., n_q, d), k (..., n_k, d), v (..., n_k, d_v); leading axes
+    broadcast. ``mask`` is boolean, broadcastable to (..., n_q, n_k), True
+    where a key is visible. Backward keeps only the probabilities P and
+    uses dS = P * (dP - rowsum(dP * P)) (Dao et al. 2022). Their equal
+    rowsum(dO * O) is not used: where P is one-hot it does not cancel
+    dP exactly, and huge keys (xPos at s=128) magnify the remainder.
+    """
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise DimensionError(
+            f"attention operands do not align: q {q.shape}, k {k.shape}, "
+            f"v {v.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if (~mask).all(axis=-1).any():
+            raise NumericError("attention row with every key masked")
+    p = attention_weights(q.data, k.data, scale, mask)
+    out_data = np.matmul(p, v.data)
+
+    def bwd(g):
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(np.matmul(p.swapaxes(-1, -2), g),
+                                       v.shape))
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(g, v.data.swapaxes(-1, -2))
+            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+            ds *= p
+            if q.requires_grad:
+                gq = np.matmul(ds, k.data)
+                gq *= scale
+                q._accumulate(_unbroadcast(gq, q.shape))
+            if k.requires_grad:
+                gk = np.matmul(ds.swapaxes(-1, -2), q.data * scale)
+                k._accumulate(_unbroadcast(gk, k.shape))
+
+    return Tensor._from_op(out_data, (q, k, v), bwd)
+
+
+def _swap_pairs(a: np.ndarray) -> np.ndarray:
+    """(a1, a2) -> (a2, a1) for each adjacent pair of the last axis."""
+    return a.reshape(*a.shape[:-1], -1, 2)[..., ::-1].reshape(a.shape)
+
+
+def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate each adjacent pair (x1, x2) of the last axis to
+    (x1 cos - x2 sin, x2 cos + x1 sin), as one node.
+
+    ``cos`` and ``sin`` hold one entry per element (repeated within a pair)
+    and broadcast against x; scaling both scales the rotated pair (xPos).
+    """
+    if x.shape[-1] % 2:
+        raise DimensionError(f"pair rotation needs an even last axis, got {x.shape}")
+    signed_sin = np.array(sin, dtype=np.float64)
+    signed_sin[..., 0::2] *= -1.0
+    # fresh buffer first: with a last axis of 2, _swap_pairs returns a view
+    out_data = x.data * cos
+    out_data += _swap_pairs(x.data) * signed_sin
+
+    def bwd(g):
+        if x.requires_grad:
+            dx = _swap_pairs(g * signed_sin)
+            dx += g * cos
+            x._accumulate(dx)
+
+    return Tensor._from_op(out_data, (x,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -399,32 +536,38 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._from_op(out_data, (table,), bwd)
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
+def grad_check(f: Callable[..., Tensor], *inputs: Tensor,
                step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference grads."""
+    """Max relative error between analytic and central-difference grads of
+    the scalar ``f(*inputs)``, over every element of every input."""
     if step <= 0:
         raise ContractError("step must be positive")
-    x = Tensor(x.data.copy(), requires_grad=True)
-    out = f(x)
+    if not inputs:
+        raise ContractError("grad_check needs at least one input")
+    xs = [Tensor(x.data.copy(), requires_grad=True) for x in inputs]
+    out = f(*xs)
     if not np.isfinite(out.data).all():
         raise NumericError("function output is not finite")
     out.backward()
-    analytic = x.grad.copy().reshape(-1)
+    analytic = np.concatenate([
+        (np.zeros(x.size) if x.grad is None else x.grad.reshape(-1))
+        for x in xs])
 
-    flat = x.data.reshape(-1)
-    numeric = np.empty_like(analytic)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        with no_grad():
-            hi = f(x).item()
-        flat[i] = orig - step
-        with no_grad():
-            lo = f(x).item()
-        flat[i] = orig
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NumericError("function output is not finite")
-        numeric[i] = (hi - lo) / (2.0 * step)
+    numeric = []
+    for x in xs:
+        flat = x.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            with no_grad():
+                hi = f(*xs).item()
+            flat[i] = orig - step
+            with no_grad():
+                lo = f(*xs).item()
+            flat[i] = orig
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                raise NumericError("function output is not finite")
+            numeric.append((hi - lo) / (2.0 * step))
 
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))

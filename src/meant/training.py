@@ -164,9 +164,19 @@ def windows_to_arrays(windows: list[LagWindow],
     }
 
 
-def _batch(data: dict, idx: np.ndarray) -> dict:
-    # disabled modalities travel as None and stay None per batch
+def _batch(data: dict, idx) -> dict:
+    # disabled modalities travel as None and stay None per batch; a slice
+    # ``idx`` gives views, an index array gives copies
     return {k: (None if v is None else v[idx]) for k, v in data.items()}
+
+
+def _model_inputs(model: MeantModel, data: dict) -> dict:
+    """``data`` with the arrays of modalities ``model`` has turned off
+    dropped to None, so batching never touches them."""
+    c = model.config
+    off = {"ids": not c.use_text, "macd": not c.use_price,
+           "images": not c.use_image}
+    return {k: (None if off.get(k) else v) for k, v in data.items()}
 
 
 # -- train / eval ------------------------------------------------------
@@ -195,10 +205,11 @@ def evaluate(model: MeantModel, data: dict[str, np.ndarray],
     n = len(data["labels"])
     if n == 0:
         raise ContractError("cannot evaluate an empty split")
+    data = _model_inputs(model, data)
     preds = []
     with no_grad():
         for start in range(0, n, batch_size):
-            batch = _batch(data, np.arange(start, min(start + batch_size, n)))
+            batch = _batch(data, slice(start, start + batch_size))
             logits = model(batch["ids"], batch["macd"], batch["images"])
             preds.append(np.argmax(logits.data, axis=-1))
     return compute_metrics(np.concatenate(preds), data["labels"])
@@ -212,6 +223,7 @@ def train(model: MeantModel, train_data: dict, val_data: dict,
     """
     if len(train_data["labels"]) == 0 or len(val_data["labels"]) == 0:
         raise ContractError("train and validation splits must be non-empty")
+    train_data = _model_inputs(model, train_data)
     params = model.params()
     opt = AdamW(params, weight_decay=cfg.weight_decay)
     schedule = CosineWarmRestarts(eta_max=cfg.lr, eta_min=cfg.eta_min,

@@ -7,7 +7,7 @@ from meant.embeddings import (PatchSpec, apply_axial_rotary_2d, apply_rotary,
                               apply_xpos, extract_patches, patch_embed,
                               token_embed, xpos_scales)
 from meant.errors import DimensionError
-from meant.tensor import Tensor
+from meant.tensor import Tensor, grad_check, matmul
 
 
 def rand(shape, seed=0):
@@ -229,3 +229,20 @@ def test_rotations_are_differentiable():
     (qr * kr).sum().backward()
     assert q.grad is not None and np.any(q.grad != 0)
     assert k.grad is not None and np.any(k.grad != 0)
+
+
+@pytest.mark.parametrize("rope", [
+    lambda q, k: apply_rotary(q, k, np.arange(4)),
+    lambda q, k: apply_xpos(q, k, np.arange(4)),
+    lambda q, k: apply_axial_rotary_2d(q, k, np.arange(4) // 2,
+                                       np.arange(4) % 2),
+], ids=["rotary", "xpos", "axial"])
+def test_rotation_grad_check(rope):
+    probe = Tensor(rand((2, 4, 4), seed=3))
+
+    def scores(q, k):
+        qr, kr = rope(q, k)
+        return (matmul(qr, kr.swapaxes(-1, -2)) * probe).sum()
+
+    assert grad_check(scores, Tensor(rand((2, 4, 8))),
+                      Tensor(rand((2, 4, 8), seed=1))) < 1e-6

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meant.embeddings import PatchSpec
+from meant.embeddings import PatchSpec, apply_xpos
 from meant.encoders import (EncoderConfig, FeedForward, LanguagePipeline,
                             MultiHeadAttention, VisionPipeline)
 from meant.errors import DimensionError, NumericError
@@ -46,6 +46,19 @@ class TestMultiHeadAttention:
         x = Tensor(rng_(4).normal(size=(1, 3, 8)))
         with pytest.raises(NumericError):
             mha(x, mask=np.zeros((1, 3), dtype=bool))
+
+    def test_pad_rows_do_not_reach_real_tokens_under_xpos_at_s128(self):
+        # xPos logits at s=128 reach ~1e68, far beyond any additive mask
+        # constant; masked keys must still get exactly zero weight
+        mha = make_mha(dim=32, heads=2)
+        s, real = 128, 100
+        x = rng_(10).normal(size=(1, s, 32))
+        mask = np.arange(s)[None, :] < real
+        rope = lambda q, k: apply_xpos(q, k, np.arange(s))
+        out = mha(Tensor(x), mask=mask, rope=rope).data
+        x[:, real:] = rng_(11).normal(size=(1, s - real, 32))
+        again = mha(Tensor(x), mask=mask, rope=rope).data
+        assert np.array_equal(again[:, :real], out[:, :real])
 
     def test_zero_out_projection_gives_zero(self):
         mha = make_mha()

@@ -146,6 +146,17 @@ class TestQueryTargetAttention:
         out_p = qta(Tensor(x[:, perm, :])).data
         assert not np.allclose(out, out_p)
 
+    def test_weights_are_the_ones_the_forward_uses(self):
+        # rotary positions included: the output is wo(weights @ values)
+        qta = QueryTargetAttention(rng_(30), 8, heads=2, pos_encoding="rotary",
+                                   residual=False, use_ffn=False)
+        fused = Tensor(rng_(31).normal(size=(2, 4, 8)))
+        w = qta.attention_weights(fused)
+        v = qta._split(qta.wv(fused)).data
+        mixed = (w @ v).transpose(0, 2, 1, 3).reshape(2, 1, 8)
+        want = qta.wo(Tensor(mixed)).data.reshape(2, 8)
+        assert np.max(np.abs(qta(fused).data - want)) < 1e-12
+
     def test_query_gradient_locality(self):
         # the query path only sees the last lag day: with values and the
         # residual cut off, upstream gradient reaches wq from day l-1 only

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from meant.errors import ContractError, DimensionError
-from meant.tensor import (Tensor, gelu, grad_check, layer_norm, matmul,
-                          no_grad, softmax_last_dim)
+from meant.errors import ContractError, DimensionError, NumericError
+from meant.tensor import (Tensor, attention, gelu, grad_check, layer_norm,
+                          matmul, no_grad, rotate_pairs, softmax_last_dim)
 
 
 def naive_matmul(a, b):
@@ -213,3 +213,180 @@ class TestGradCheck:
     def test_bad_step_rejected(self):
         with pytest.raises(ContractError):
             grad_check(lambda x: x.sum(), Tensor([1.0]), step=0.0)
+
+
+def rand(*shape, seed=0, loc=0.0):
+    return Tensor(np.random.default_rng(seed).normal(loc, 1.0, size=shape))
+
+
+def unfused_attention(q, k, v, scale, mask=None):
+    logits = np.matmul(q, k.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        logits = np.where(mask, logits, -np.inf)
+    return np.matmul(softmax_last_dim(Tensor(logits)).data, v)
+
+
+class TestAttention:
+    def test_matches_unfused_ops(self):
+        q, k, v = rand(2, 2, 3, 4), rand(2, 2, 5, 4, seed=1), rand(2, 2, 5, 3, seed=2)
+        mask = np.array([True, True, False, True, False])[None, None, None, :]
+        for m in (None, mask):
+            out = attention(q, k, v, 0.5, m).data
+            want = unfused_attention(q.data, k.data, v.data, 0.5, m)
+            assert np.max(np.abs(out - want)) < 1e-12
+
+    def test_masked_keys_get_exactly_zero_weight(self):
+        # far larger logits than any additive mask constant could outweigh
+        q, k = rand(1, 2, 4), rand(1, 3, 4, seed=1)
+        v = rand(1, 3, 2, seed=2)
+        k.data[0, 2] *= 1e60
+        mask = np.array([True, True, False])
+        out = attention(q, k, v, 1.0, mask).data
+        v.data[0, 2] = 1e300
+        assert np.array_equal(attention(q, k, v, 1.0, mask).data, out)
+
+    def test_all_masked_row_rejected(self):
+        q = rand(1, 2, 4)
+        with pytest.raises(NumericError, match="every key masked"):
+            attention(q, q, q, 1.0, np.zeros((1, 1, 2), dtype=bool))
+
+    def test_nan_logits_rejected_even_under_the_mask(self):
+        q, k = rand(1, 2, 4), rand(1, 2, 4, seed=1)
+        k.data[0, 1, 0] = np.nan
+        with pytest.raises(NumericError, match="NaN"):
+            attention(q, k, k, 1.0, np.array([True, False]))
+
+    def test_misaligned_operands_rejected(self):
+        with pytest.raises(DimensionError):
+            attention(rand(2, 4), rand(3, 4), rand(2, 4), 1.0)
+
+    @pytest.mark.parametrize("shapes, mask", [
+        (((2, 3, 4), (2, 5, 4), (2, 5, 3)), None),
+        # one row sees a single key, another all but one
+        (((1, 3, 4), (1, 4, 4), (1, 4, 2)),
+         np.array([[True, False, False, False], [True, True, True, False],
+                   [False, True, False, True]])),
+        # leading axes broadcast between q, k and v
+        (((1, 2, 3, 4), (2, 1, 4, 4), (2, 2, 4, 3)),
+         np.array([True, True, False, True])[None, None, None, :]),
+        # a single key
+        (((2, 3, 4), (2, 1, 4), (2, 1, 3)), None),
+    ])
+    def test_grad_check(self, shapes, mask):
+        q, k, v = (rand(*s, seed=i) for i, s in enumerate(shapes))
+        probe = rand(*attention(q, k, v, 0.5, mask).shape, seed=9)
+
+        def f(q, k, v):
+            return (attention(q, k, v, 0.5, mask) * probe).sum()
+
+        assert grad_check(f, q, k, v) < 1e-6
+
+
+class TestFusedLayerNorm:
+    @pytest.mark.parametrize("mode", ["standard", "rms"])
+    def test_matches_unfused_ops(self, mode):
+        x, gain, bias = rand(3, 6), rand(6, seed=1), rand(6, seed=2)
+        centered = x.data - x.data.mean(-1, keepdims=True) if mode == "standard" else x.data
+        scale = np.sqrt((centered ** 2).mean(-1, keepdims=True) + 1e-5)
+        want = centered / scale * gain.data + bias.data
+        out = layer_norm(x, gain, bias, mode).data
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["standard", "rms"])
+    def test_grad_check_with_gain_and_bias(self, mode):
+        probe = rand(2, 3, 6, seed=3)
+
+        def f(x, gain, bias):
+            return (layer_norm(x, gain, bias, mode) * probe).sum()
+
+        err = grad_check(f, rand(2, 3, 6), rand(6, seed=1, loc=1.0),
+                         rand(6, seed=2))
+        assert err < 1e-6
+
+
+class TestRotatePairs:
+    def test_rotates_each_pair(self):
+        x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        cos = np.array([[0.0, 0.0, 1.0, 1.0]])
+        sin = np.array([[1.0, 1.0, 0.0, 0.0]])
+        # a quarter turn on the first pair, identity on the second
+        assert np.array_equal(rotate_pairs(x, cos, sin).data, [[-2.0, 1.0, 3.0, 4.0]])
+
+    def test_odd_last_axis_rejected(self):
+        with pytest.raises(DimensionError):
+            rotate_pairs(rand(2, 3), np.ones(3), np.zeros(3))
+
+    def test_grad_check_with_scaled_tables(self):
+        # unrelated, non-unit cos/sin entries stand for a folded xPos scale
+        cos, sin = rand(4, 6, seed=1).data, rand(4, 6, seed=2).data
+        probe = rand(2, 4, 6, seed=3)
+        err = grad_check(lambda x: (rotate_pairs(x, cos, sin) * probe).sum(),
+                         rand(2, 4, 6))
+        assert err < 1e-6
+
+    def test_single_pair_leaves_input_intact(self):
+        # a last axis of 2 is one pair per row, where swapping the pair
+        # reshapes to a view of the input rather than a copy
+        x = rand(3, 5, 2)
+        before = x.data.copy()
+        cos, sin = rand(5, 2, seed=1).data, rand(5, 2, seed=2).data
+        out = rotate_pairs(x, cos, sin).data
+        x1, x2 = before[..., 0], before[..., 1]
+        expected = np.stack([x1 * cos[:, 0] - x2 * sin[:, 0],
+                             x2 * cos[:, 1] + x1 * sin[:, 1]], axis=-1)
+        assert np.array_equal(x.data, before)
+        assert np.allclose(out, expected, rtol=1e-14, atol=1e-14)
+        assert not np.shares_memory(out, x.data)
+        probe = rand(3, 5, 2, seed=3)
+        err = grad_check(lambda t: (rotate_pairs(t, cos, sin) * probe).sum(),
+                         rand(3, 5, 2))
+        assert err < 1e-6
+
+
+class TestGraphLifetime:
+    def test_backward_frees_intermediates(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        hidden = x * x
+        probs = softmax_last_dim(hidden)
+        loss = (probs * hidden).sum()
+        loss.backward()
+        for node in (hidden, probs, loss):
+            assert node.grad is None and node._parents == ()
+        assert x.grad is not None
+
+    def test_leaf_grads_are_owned_and_writable(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        c = Tensor([[5.0, 6.0]], requires_grad=True)
+        (a + b).sum().backward()
+        c.reshape(2).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        for leaf in (a, b, c):
+            assert leaf.grad.flags.owndata and leaf.grad.flags.writeable
+        a.grad *= 2.0
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
+    def test_second_backward_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="freed"):
+            loss.backward()
+
+    def test_backward_through_a_freed_intermediate_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        shared = x * x
+        first, second = shared.sum(), (shared * 2.0).sum()
+        first.backward()
+        with pytest.raises(ContractError, match="freed"):
+            second.backward()
+
+
+def test_grad_check_covers_every_input():
+    a, b = rand(3), rand(3, seed=1)
+    assert grad_check(lambda a, b: (a * b * b).sum(), a, b) < 1e-8
+    # b's values reach the output through a constant, so its analytic
+    # gradient is zero while the numeric one is a
+    def detached(a, b):
+        return (a * Tensor(b.data)).sum() + (b * 0.0).sum()
+    assert grad_check(detached, a, b) > 0.1

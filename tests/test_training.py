@@ -270,6 +270,30 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             TrainConfig(schedule_unit="batch")
 
+    def test_disabled_modalities_are_never_batched(self):
+        # the model reads no images, so an array that cannot be indexed
+        # must not reach batching in train or evaluate
+        model, data = tiny_problem(n=16)
+        data = {**data, "images": object()}
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=5)
+        _, log = train(model, data, data, cfg)
+        assert log[0]["val"] == evaluate(model, data).to_dict()
+
+    def test_eval_batches_are_views(self, monkeypatch):
+        from meant import training
+        model, data = tiny_problem(n=20)
+        seen = []
+        batch = training._batch
+
+        def spy(arrays, idx):
+            out = batch(arrays, idx)
+            seen.append(out["macd"].base is arrays["macd"])
+            return out
+
+        monkeypatch.setattr(training, "_batch", spy)
+        evaluate(model, data, batch_size=8)
+        assert seen == [True, True, True]
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
