@@ -63,7 +63,7 @@ def cmd_build_dataset(args) -> int:
     windows, stats = build_lag_windows(
         prices, tweets, lag=args.lag, tokenizer=tokenizer, graph=graph,
         label_mode=args.label_mode, min_tweets_per_day=args.min_tweets,
-        fold_nontrading=args.fold_nontrading, workers=args.workers)
+        fold_nontrading=args.fold_nontrading)
     save_dataset(windows, args.out, tokenizer=tokenizer)
     summary = {
         "windows": len(windows),
@@ -312,8 +312,16 @@ def cmd_render_graphs(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ``ConfigError`` (exit 1), not argparse's exit 2,
+    which the CLI keeps for numeric failures. Subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meant",
         description="Multimodal temporal-attention pipeline and model")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -331,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-days", type=int, default=26)
     p.add_argument("--min-tweets", type=int, default=1)
     p.add_argument("--fold-nontrading", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
@@ -375,8 +382,8 @@ def main(argv=None) -> int:
              "debug": logging.DEBUG}.get(os.environ.get("MEANT_LOG", "info"),
                                          logging.INFO)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ContractError, DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

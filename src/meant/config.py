@@ -13,25 +13,11 @@ from .training import TrainConfig
 
 @dataclass
 class DataConfig:
-    prices: str | None = None
-    tweets: str | None = None
-    lag: int = 5
-    seq_len: int = 128
-    vocab_size: int = 4096
-    min_tweets_per_day: int = 1
-    fold_nontrading: bool = False
-    label_mode: str = "crossover"
-    graph_window_days: int = 26
-    graph_width: int = 224
-    graph_height: int = 224
+    """The split spec; the dataset itself is built by ``build-dataset``."""
+
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     # optional ISO (train_end, val_end) pair; overrides the fractions
     split_dates: tuple[str, str] | None = None
-
-
-@dataclass
-class OutputConfig:
-    dir: str = "out"
 
 
 @dataclass
@@ -39,18 +25,16 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     model: dict = field(default_factory=dict)    # ModelConfig overrides
     train: TrainConfig = field(default_factory=TrainConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known_sections = {"data", "model", "train", "output"}
+        known_sections = {"data", "model", "train"}
         unknown = set(doc) - known_sections
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         out = cls()
         out.data = _build(DataConfig, doc.get("data", {}), "data")
         out.train = _build(TrainConfig, doc.get("train", {}), "train")
-        out.output = _build(OutputConfig, doc.get("output", {}), "output")
         model_keys = {f.name for f in dataclasses.fields(ModelConfig)}
         bad = set(doc.get("model", {})) - model_keys
         if bad:
@@ -75,7 +59,6 @@ class RunConfig:
             "data": dataclasses.asdict(self.data),
             "model": dict(self.model),
             "train": dataclasses.asdict(self.train),
-            "output": dataclasses.asdict(self.output),
         }
 
 

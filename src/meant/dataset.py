@@ -10,7 +10,6 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,9 +121,10 @@ def _group_tweets(tweets, price_dates: dict[str, set], fold_nontrading: bool):
 
 def _windows_for_ticker(ticker: str, prices: PriceSeries, by_day, lag: int,
                         tokenizer: TokenizerSpec, graph: GraphSpec,
-                        label_mode: str, min_tweets: int):
+                        label_mode: str, min_tweets: int,
+                        stats: BuildStats) -> list[LagWindow]:
+    """One ticker's windows in target-date order; counts go into ``stats``."""
     ind = compute_macd(prices)
-    stats = BuildStats()
     windows: list[LagWindow] = []
     first_target = max(1, lag + graph.window_days - 1)
     graph_cache: dict[int, np.ndarray] = {}
@@ -165,7 +165,7 @@ def _windows_for_ticker(ticker: str, prices: PriceSeries, by_day, lag: int,
         w.validate()
         windows.append(w)
         stats.label_counts[label] += 1
-    return windows, stats
+    return windows
 
 
 def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
@@ -173,13 +173,13 @@ def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
                       graph: GraphSpec | None = None,
                       label_mode: str = "crossover",
                       min_tweets_per_day: int = 1,
-                      fold_nontrading: bool = False,
-                      workers: int = 1) -> tuple[list[LagWindow], BuildStats]:
+                      fold_nontrading: bool = False
+                      ) -> tuple[list[LagWindow], BuildStats]:
     """Build the labeled window list for every covered ticker.
 
     Windows whose target day has no signal (or a filtered movement ratio)
     and windows with a tweetless lag day are discarded. The output order
-    is (ticker, target_date), independent of worker count.
+    is (ticker, target_date).
     """
     if tokenizer is None:
         raise ContractError("a tokenizer spec is required")
@@ -197,24 +197,11 @@ def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
     price_dates = {t: set(p.dates) for t, p in prices.items()}
     by_day = _group_tweets(tweets, price_dates, fold_nontrading)
 
-    tickers = sorted(prices)
-    jobs = [(t, prices[t], by_day, lag, tokenizer, graph, label_mode,
-             min_tweets_per_day) for t in tickers]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda a: _windows_for_ticker(*a), jobs))
-    else:
-        results = [_windows_for_ticker(*a) for a in jobs]
-
     windows: list[LagWindow] = []
-    for wlist, tstats in results:
-        windows.extend(wlist)
-        stats.candidates += tstats.candidates
-        stats.discarded_no_signal += tstats.discarded_no_signal
-        stats.discarded_no_tweets += tstats.discarded_no_tweets
-        for k in (0, 1):
-            stats.label_counts[k] += tstats.label_counts[k]
-    windows.sort(key=lambda w: (w.ticker, w.target_date))
+    for ticker in sorted(prices):
+        windows += _windows_for_ticker(ticker, prices[ticker], by_day, lag,
+                                       tokenizer, graph, label_mode,
+                                       min_tweets_per_day, stats)
     return windows, stats
 
 
@@ -375,10 +362,3 @@ def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
         raise DatasetFormatError(
             f"manifest count {manifest.get('count')} != {len(windows)} windows")
     return windows, manifest
-
-
-def normalize_macd(windows: list[LagWindow], manifest: dict) -> list[np.ndarray]:
-    """Z-scored M matrices using the manifest's training-split stats."""
-    mean = np.asarray(manifest["normalization"]["mean"])
-    std = np.asarray(manifest["normalization"]["std"])
-    return [(w.M - mean) / std for w in windows]

@@ -225,10 +225,9 @@ class LanguagePipeline:
     """Token embedding plus per-lag-day encoder blocks -> L_out."""
 
     def __init__(self, rng, vocab_size: int, cfg: EncoderConfig,
-                 pad_id: int = 0, use_pad_mask: bool = True):
+                 pad_id: int = 0):
         self.cfg = cfg
         self.pad_id = pad_id
-        self.use_pad_mask = use_pad_mask
         self.table = Tensor(rng.normal(0.0, INIT_STD, size=(vocab_size, cfg.dim)),
                             requires_grad=True)
         out_scale = 1.0 / math.sqrt(2.0 * cfg.depth)
@@ -239,15 +238,11 @@ class LanguagePipeline:
         ids = np.asarray(ids, dtype=np.int64)
         b, l, s = ids.shape
         x = token_embed(ids, self.table).reshape(b * l, s, self.cfg.dim)
-        mask = None
-        if self.use_pad_mask:
-            mask = (ids != self.pad_id).reshape(b * l, s)
-            # a fully padded day would starve attention; let PAD attend to
-            # itself in that case
-            dead = ~mask.any(axis=-1)
-            if dead.any():
-                mask = mask.copy()
-                mask[dead, 0] = True
+        mask = (ids != self.pad_id).reshape(b * l, s)
+        # a fully padded day would starve attention; let PAD attend to
+        # itself in that case
+        dead = ~mask.any(axis=-1)
+        mask[dead, 0] = True
         positions = np.arange(s)
         if self.cfg.pos_encoding == "xpos":
             rope = lambda q, k: apply_xpos(q, k, positions)

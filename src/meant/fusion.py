@@ -40,13 +40,9 @@ class ModelConfig:
     temporal_pos: str = "none"       # {none, rotary}
     axial_literal: bool = False
     pooling: str = "mean_pool"       # {mean_pool, seq_proj}
-    pool_mask_aware: bool = False
     use_text: bool = True
     use_image: bool = True
     use_price: bool = True
-    use_pad_mask: bool = True
-    temporal_residual: bool = True
-    temporal_ffn: bool = True
     image_height: int = 32
     image_width: int = 32
     channels: int = 3
@@ -84,22 +80,15 @@ class ModelConfig:
 # -- pooling -----------------------------------------------------------
 
 
-def mean_pool(l_out: Tensor, pad_mask: np.ndarray | None = None) -> Tensor:
-    """Average over the token axis of (b, l, s, d).
-
-    With ``pad_mask`` (b, l, s boolean, True = real token) only non-pad
-    positions contribute; otherwise every position counts, matching the
-    plain 1/s formulation.
-    """
-    if pad_mask is None:
-        return l_out.mean(axis=2)
-    counts = np.maximum(1, pad_mask.sum(axis=-1, keepdims=True))
-    weights = pad_mask.astype(np.float64) / counts
-    return (l_out * Tensor(weights[..., None])).sum(axis=2)
+def mean_pool(l_out: Tensor) -> Tensor:
+    """Average over the token axis of (b, l, s, d), PAD positions included
+    (the plain 1/s formulation)."""
+    return l_out.mean(axis=2)
 
 
 class SequenceProjection:
-    """Learned s -> 1 reduction followed by layer norm and GELU."""
+    """Learned reduction of the second-to-last axis (s tokens of a day, or
+    every patch of the window) followed by layer norm and GELU."""
 
     def __init__(self, rng, seq_len: int, dim: int, name: str,
                  norm_mode: str = "standard"):
@@ -110,13 +99,13 @@ class SequenceProjection:
         self.norm = LayerNorm(dim, f"{name}.norm", norm_mode)
         self.name = name
 
-    def __call__(self, l_out: Tensor) -> Tensor:
-        if l_out.shape[-2] != self.seq_len:
+    def __call__(self, seq: Tensor) -> Tensor:
+        if seq.shape[-2] != self.seq_len:
             raise DimensionError(
-                f"expected sequence axis {self.seq_len}, got {l_out.shape[-2]}")
-        x = l_out.swapaxes(-1, -2)                     # (b, l, d, s)
-        projected = matmul(x, self.weight) + self.bias  # (b, l, d, 1)
-        squeezed = projected.reshape(*l_out.shape[:-2], l_out.shape[-1])
+                f"expected sequence axis {self.seq_len}, got {seq.shape[-2]}")
+        x = seq.swapaxes(-1, -2)                       # (..., d, s)
+        projected = matmul(x, self.weight) + self.bias  # (..., d, 1)
+        squeezed = projected.reshape(*seq.shape[:-2], seq.shape[-1])
         return gelu(self.norm(squeezed))
 
     def params(self) -> dict[str, Tensor]:
@@ -191,19 +180,6 @@ class QueryTargetAttention(MultiHeadAttention):
         return out
 
 
-class ImageSequenceProjection(SequenceProjection):
-    """Patch-axis reduction of I_out; mean pooling is never used here."""
-
-    def __call__(self, i_out: Tensor) -> Tensor:
-        if i_out.shape[-2] != self.seq_len:
-            raise DimensionError(
-                f"expected {self.seq_len} patches, got {i_out.shape[-2]}")
-        x = i_out.swapaxes(-1, -2)                     # (b, d, p)
-        projected = matmul(x, self.weight) + self.bias
-        squeezed = projected.reshape(i_out.shape[0], i_out.shape[-1])
-        return gelu(self.norm(squeezed))
-
-
 class ClassifierHead:
     def __init__(self, rng, dim: int, name: str = "head", classes: int = 2):
         self.fc1 = Linear(rng, dim, dim, f"{name}.fc1")
@@ -235,8 +211,7 @@ class MeantModel:
                                      norm_mode=c.norm_mode,
                                      pos_encoding=c.lang_pos)
             self.language = LanguagePipeline(rng, c.vocab_size, lang_cfg,
-                                             pad_id=c.pad_id,
-                                             use_pad_mask=c.use_pad_mask)
+                                             pad_id=c.pad_id)
             if c.pooling == "seq_proj":
                 self.pool = SequenceProjection(rng, c.seq_len, c.d_l,
                                                "pool.seq", c.norm_mode)
@@ -252,16 +227,14 @@ class MeantModel:
                                          (c.image_height, c.image_width),
                                          axial_literal=c.axial_literal)
             total_patches = c.lag * self.vision.n_p
-            self.image_proj = ImageSequenceProjection(rng, total_patches,
-                                                      c.d_p, "pool.img",
-                                                      c.norm_mode)
+            self.image_proj = SequenceProjection(rng, total_patches, c.d_p,
+                                                 "pool.img", c.norm_mode)
 
         self.temporal = None
         if c.use_text or c.use_price:
             self.temporal = QueryTargetAttention(
                 rng, c.d_t, heads=c.temporal_heads,
-                pos_encoding=c.temporal_pos, residual=c.temporal_residual,
-                use_ffn=c.temporal_ffn, mlp_ratio=c.mlp_ratio,
+                pos_encoding=c.temporal_pos, mlp_ratio=c.mlp_ratio,
                 norm_mode=c.norm_mode)
 
         final_dim = (c.d_t if self.temporal is not None else 0) \
@@ -283,8 +256,7 @@ class MeantModel:
                 if self.pool is not None:
                     l_seq = self.pool(l_out)
                 else:
-                    pad_mask = (np.asarray(ids) != c.pad_id) if c.pool_mask_aware else None
-                    l_seq = mean_pool(l_out, pad_mask)
+                    l_seq = mean_pool(l_out)
             m_in = None
             if c.use_price:
                 if macd is None:

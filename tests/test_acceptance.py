@@ -123,7 +123,7 @@ def test_criterion_3_dataset_soundness(tmp_path, sine_prices, sine_dataset,
 
     rebuilt, _ = build_lag_windows(
         {sine_prices.ticker: sine_prices}, make_tweets(sine_prices), lag=5,
-        tokenizer=tok, graph=small_graph_spec, workers=3)
+        tokenizer=tok, graph=small_graph_spec)
     ok = ok and rebuilt == windows
 
     for name, source in (("a", windows), ("b", rebuilt)):

@@ -1,5 +1,7 @@
 import csv
 import json
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,15 @@ class TestBuildDataset:
                    "--tweets", str(workspace["tweets"]), "--out", "x"])
         assert rc == 1
 
+    def test_retired_workers_flag_exits_one(self, workspace, tmp_path, capsys):
+        # a usage error is a config error (1); 2 is for numeric failures
+        rc = main(["build-dataset", "--prices", str(workspace["prices"]),
+                   "--tweets", str(workspace["tweets"]),
+                   "--out", str(tmp_path / "ds"), "--workers", "2"])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):
@@ -117,11 +128,13 @@ class TestTrain:
         assert again.model["d_l"] == 8
 
     def test_bad_config_exits_one(self, workspace, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"model": {"wings": 2}}))
-        rc = main(["train", "--config", str(bad),
-                   "--data", str(workspace["data"]), "--out", str(tmp_path)])
-        assert rc == 1
+        # an unknown key, and one retired from ModelConfig
+        for key in ("wings", "use_pad_mask"):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES, key: 2}}))
+            rc = main(["train", "--config", str(bad),
+                       "--data", str(workspace["data"]), "--out", str(tmp_path)])
+            assert rc == 1
 
     def test_zero_modality_config_exits_one(self, workspace, tmp_path):
         bad = tmp_path / "nomod.json"
@@ -151,6 +164,24 @@ class TestEval:
             rows = list(csv.reader(fh))
         assert rows[0] == ["true\\pred", "0", "1"]
         assert len(rows) == 3
+
+    def test_checkpoint_naming_retired_key_exits_one(self, workspace, trained,
+                                                     tmp_path, capsys):
+        # rewrite the config record of a valid checkpoint with a key this
+        # model no longer has; the CRC is recomputed so only the key fails
+        blob = (trained / "model.ckpt").read_bytes()
+        cfg_len, = struct.unpack_from("<I", blob, 8)
+        cfg = json.loads(blob[12:12 + cfg_len])
+        cfg["temporal_ffn"] = True
+        cfg_json = json.dumps(cfg).encode()
+        body = (blob[:8] + struct.pack("<I", len(cfg_json)) + cfg_json
+                + blob[12 + cfg_len:-4])
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["eval", "--checkpoint", str(old),
+                   "--data", str(workspace["data"]), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "temporal_ffn" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -233,23 +264,28 @@ class TestRenderGraphs:
 class TestRunConfig:
     def test_defaults(self):
         run = RunConfig.from_dict({})
-        assert run.data.lag == 5
+        assert run.data.split_fractions == (0.8, 0.1, 0.1)
         assert run.train.epochs == 15
         assert run.train.lr == 5e-5
         assert run.train.t0 == 7.0
         assert run.model == {}
 
+    # each case list ends with options that were retired, so configs
+    # written before that fail loudly instead of being ignored
     def test_unknown_section(self):
-        with pytest.raises(ConfigError, match="sections"):
-            RunConfig.from_dict({"optimizer": {}})
+        for section in ("optimizer", "output"):
+            with pytest.raises(ConfigError, match="sections"):
+                RunConfig.from_dict({section: {}})
 
     def test_unknown_key_in_section(self):
-        with pytest.raises(ConfigError, match="momentum"):
-            RunConfig.from_dict({"train": {"momentum": 0.9}})
+        for section, key in (("train", "momentum"), ("data", "lag")):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_dict({section: {key: 1}})
 
     def test_unknown_model_key(self):
-        with pytest.raises(ConfigError, match="dropout"):
-            RunConfig.from_dict({"model": {"dropout": 0.1}})
+        for key in ("dropout", "use_pad_mask", "temporal_ffn"):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_dict({"model": {key: 1}})
 
     def test_split_dates_parsed(self):
         run = RunConfig.from_dict(

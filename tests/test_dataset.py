@@ -6,7 +6,7 @@ import pytest
 
 from meant.dataset import (LagWindow, TweetRecord, build_lag_windows,
                            chronological_split, concat_day_tweets,
-                           load_dataset, normalize_macd, save_dataset,
+                           load_dataset, save_dataset,
                            split_by_dates, stocknet_label, truncate_lag)
 from meant.errors import ContractError, DatasetFormatError
 
@@ -14,6 +14,7 @@ from meant.indicators import (CrossSignal, classify_crossover, compute_macd,
                               macd_vector)
 from meant.synthetic import make_sine_prices, make_tweets
 from meant.tokenizer import build_vocab, tokenize
+from meant.training import windows_to_arrays
 
 
 class TestConcatTweets:
@@ -155,17 +156,21 @@ class TestBuild:
             tokenizer=tok, graph=small_graph_spec)
         assert stats.skipped_tickers == ["GHOST"]
 
-    def test_worker_count_irrelevant(self, small_graph_spec):
+    def test_two_tickers_in_ticker_date_order(self, small_graph_spec):
+        # price dicts in reverse ticker order, tweets interleaved by date
         prices = {s.ticker: s for s in
-                  (make_sine_prices("AAA", days=120),
-                   make_sine_prices("BBB", days=120, period=25.0))}
-        tweets = [t for s in prices.values() for t in make_tweets(s)]
+                  (make_sine_prices("BBB", days=120, period=25.0),
+                   make_sine_prices("AAA", days=120))}
+        tweets = sorted((t for s in prices.values() for t in make_tweets(s)),
+                        key=lambda t: (t.date, t.ticker))
         tok = build_vocab((t.text for t in tweets), max_size=64, max_len=8)
-        serial, _ = build_lag_windows(prices, tweets, lag=3, tokenizer=tok,
-                                      graph=small_graph_spec)
-        threaded, _ = build_lag_windows(prices, tweets, lag=3, tokenizer=tok,
-                                        graph=small_graph_spec, workers=4)
-        assert serial == threaded
+        windows, stats = build_lag_windows(prices, tweets, lag=3,
+                                           tokenizer=tok,
+                                           graph=small_graph_spec)
+        keys = [(w.ticker, w.target_date) for w in windows]
+        assert {k[0] for k in keys} == {"AAA", "BBB"}
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert sum(stats.label_counts.values()) == len(windows)
 
     def test_stocknet_mode(self, sine_prices, small_graph_spec, sine_dataset):
         _, _, tok = sine_dataset
@@ -334,9 +339,8 @@ class TestPersistence:
         stacked = np.concatenate([w.M for w in head], axis=0)
         assert np.allclose(manifest["normalization"]["mean"],
                            stacked.mean(axis=0), atol=1e-12)
-        normed = normalize_macd(head, manifest)
-        pooled = np.concatenate(normed, axis=0)
-        assert np.max(np.abs(pooled.mean(axis=0))) < 1e-9
+        normed = windows_to_arrays(head, manifest["normalization"])["macd"]
+        assert np.max(np.abs(normed.reshape(-1, 5).mean(axis=0))) < 1e-9
 
 
 class TestLagWindowValidation:

@@ -47,18 +47,6 @@ class TestMeanPool:
                     want[b, l] += x[b, l, s] / 4
         assert np.max(np.abs(out - want)) < 1e-12
 
-    def test_mask_aware_ignores_pad_rows(self):
-        x = rng_(2).normal(size=(1, 1, 4, 3))
-        mask = np.array([[[True, True, False, False]]])
-        out = mean_pool(Tensor(x), mask).data
-        want = x[0, 0, :2].mean(axis=0)
-        assert np.max(np.abs(out[0, 0] - want)) < 1e-12
-
-    def test_all_pad_day_is_zero(self):
-        x = rng_(3).normal(size=(1, 1, 4, 3))
-        out = mean_pool(Tensor(x), np.zeros((1, 1, 4), dtype=bool)).data
-        assert np.array_equal(out, np.zeros((1, 1, 3)))
-
 
 class TestSequenceProjection:
     def test_uniform_weights_match_gelu_norm_mean(self):

@@ -86,6 +86,10 @@ class TestSpecValidation:
         with pytest.raises(ContractError):
             TokenizerSpec(vocab={}, max_len=0)
 
+    def test_negative_id_rejected(self):
+        with pytest.raises(ContractError, match="out of range"):
+            TokenizerSpec(vocab={"alpha": 3, "beta": -1})
+
     def test_vocab_size_counts_reserved(self):
         assert TokenizerSpec(vocab={}).vocab_size == 3
         assert toy_spec().vocab_size == 5
