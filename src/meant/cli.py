@@ -16,8 +16,8 @@ import numpy as np
 
 from .checks import model_grad_check
 from .config import RunConfig
-from .dataset import (TweetRecord, build_lag_windows, chronological_split,
-                      load_dataset, save_dataset, split_by_dates, truncate_lag)
+from .dataset import (DEFAULT_SPLIT, TweetRecord, build_lag_windows,
+                      load_dataset, save_dataset, split_windows)
 from .errors import ConfigError, ContractError, DatasetFormatError, NumericError
 from .fusion import MeantModel, ModelConfig
 from .graphs import GraphSpec, encode_graph_blob, render_macd_graph, write_ppm
@@ -25,8 +25,8 @@ from .indicators import compute_macd, load_prices_csv
 from .tensor import (Tensor, attention, grad_check, gelu, layer_norm, matmul,
                      rotate_pairs, softmax_last_dim)
 from .tokenizer import TokenizerSpec, build_vocab
-from .training import (evaluate, restore_model,
-                       save_checkpoint, train, windows_to_arrays)
+from .training import (evaluate, restore_model, save_checkpoint, train,
+                       truncate_lag, windows_to_arrays)
 
 log = logging.getLogger("meant")
 
@@ -44,13 +44,30 @@ def _load_tweets_jsonl(path) -> list[TweetRecord]:
                 continue
             try:
                 row = json.loads(line)
+                if not (isinstance(row, dict) and all(isinstance(
+                        row.get(k), str) for k in ("ticker", "date", "text"))):
+                    raise ValueError("ticker, date and text must be strings")
                 records.append(TweetRecord(
                     ticker=row["ticker"],
                     date=dt.date.fromisoformat(row["date"]),
                     text=row["text"]))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise ContractError(f"{path}:{lineno}: bad tweet row: {exc}") from exc
     return records
+
+
+def _split_arg(text: str) -> dict:
+    """``--split``: three fractions or two ISO dates, as a manifest record."""
+    parts = [p.strip() for p in text.split(",")]
+    try:
+        if len(parts) == 3:
+            return {"fractions": [float(p) for p in parts]}
+        if len(parts) == 2:
+            return {"dates": [dt.date.fromisoformat(p).isoformat() for p in parts]}
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected three fractions or two ISO "
+                                     f"dates, got {text!r}")
 
 
 def cmd_build_dataset(args) -> int:
@@ -64,7 +81,7 @@ def cmd_build_dataset(args) -> int:
         prices, tweets, lag=args.lag, tokenizer=tokenizer, graph=graph,
         label_mode=args.label_mode, min_tweets_per_day=args.min_tweets,
         fold_nontrading=args.fold_nontrading)
-    save_dataset(windows, args.out, tokenizer=tokenizer)
+    save_dataset(windows, args.out, tokenizer=tokenizer, split=args.split)
     summary = {
         "windows": len(windows),
         "label_counts": {str(k): v for k, v in stats.label_counts.items()},
@@ -77,13 +94,10 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
-def _model_config(run: RunConfig, manifest: dict, lag: int | None = None) -> ModelConfig:
+def _model_config(run: RunConfig, manifest: dict) -> ModelConfig:
     overrides = dict(run.model)
     tok = manifest.get("tokenizer")
-    derived = {
-        "seq_len": manifest["seq_len"],
-        "lag": lag if lag is not None else manifest["lag"],
-    }
+    derived = {"seq_len": manifest["seq_len"], "lag": manifest["lag"]}
     if tok is not None:
         derived["vocab_size"] = TokenizerSpec.from_dict(tok).vocab_size
         derived["pad_id"] = tok["pad_id"]
@@ -94,26 +108,32 @@ def _model_config(run: RunConfig, manifest: dict, lag: int | None = None) -> Mod
     return ModelConfig.from_dict(derived)
 
 
-def _prepare_splits(run: RunConfig, data_dir):
+SPLITS = ("train", "val", "test")
+
+
+def _split_arrays(data_dir, names=SPLITS) -> tuple[dict, list[dict]]:
+    """The dataset's manifest and the arrays of the named parts of the
+    split it records."""
     windows, manifest = load_dataset(data_dir)
-    if run.data.split_dates is not None:
-        train_end, val_end = (dt.date.fromisoformat(d)
-                              for d in run.data.split_dates)
-        splits = split_by_dates(windows, train_end, val_end)
-    else:
-        splits = chronological_split(windows, run.data.split_fractions)
-    return windows, manifest, splits
+    parts = dict(zip(SPLITS, split_windows(windows, manifest.get("split"))))
+    norm = manifest["normalization"]
+    return manifest, [windows_to_arrays(parts[n], norm) for n in names]
+
+
+def _fit_and_score(config: ModelConfig, run: RunConfig, splits):
+    """Train a fresh seeded model on the most recent ``config.lag`` days of
+    the train/val/test arrays and score it on test."""
+    tr, va, te = (truncate_lag(s, config.lag) for s in splits)
+    model = MeantModel(config, seed=run.train.seed)
+    best, log_records = train(model, tr, va, run.train)
+    return model, best, log_records, evaluate(model, te, run.train.batch_size)
 
 
 def cmd_train(args) -> int:
     run = RunConfig.from_file(args.config)
-    _, manifest, (tr, va, te) = _prepare_splits(run, args.data)
+    manifest, splits = _split_arrays(args.data)
     config = _model_config(run, manifest)
-    model = MeantModel(config, seed=run.train.seed)
-    norm = manifest["normalization"]
-    best, log_records = train(model,
-                              windows_to_arrays(tr, norm),
-                              windows_to_arrays(va, norm), run.train)
+    _, best, log_records, report = _fit_and_score(config, run, splits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "model.ckpt", config, best)
@@ -121,7 +141,6 @@ def cmd_train(args) -> int:
         for rec in log_records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _json_dump(run.effective_dict(), out / "config.json")
-    report = evaluate(model, windows_to_arrays(te, norm), run.train.batch_size)
     _json_dump(report.to_dict(), out / "test_metrics.json")
     print(f"trained {config.to_dict()['lag']}-lag model; "
           f"test macro-F1 {report.macro_f1:.4f}")
@@ -130,14 +149,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = restore_model(args.checkpoint)
-    windows, manifest = load_dataset(args.data)
-    splits = dict(zip(("train", "val", "test"),
-                      chronological_split(windows)))
-    chosen = splits[args.split]
-    if model.config.lag < chosen[0].lag:
-        chosen = truncate_lag(chosen, model.config.lag)
-    data = windows_to_arrays(chosen, manifest["normalization"])
-    report = evaluate(model, data)
+    _, (data,) = _split_arrays(args.data, [args.split])
+    report = evaluate(model, truncate_lag(data, model.config.lag))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _json_dump(report.to_dict(), out / "metrics.json")
@@ -159,9 +172,9 @@ ABLATION_VARIANTS = {
     "vision-only": {"use_text": False, "use_price": False},
     "meanpool": {"pooling": "mean_pool"},
     "seqproj": {"pooling": "seq_proj"},
-    "lag1": {"__lag__": 1},
-    "lag5": {"__lag__": 5},
-    "lag10": {"__lag__": 10},
+    "lag1": {"lag": 1},
+    "lag5": {"lag": 5},
+    "lag10": {"lag": 10},
 }
 
 
@@ -172,25 +185,12 @@ def cmd_ablate(args) -> int:
     if bad:
         raise ConfigError(f"unknown variants {bad}; "
                           f"valid: {sorted(ABLATION_VARIANTS)}")
-    windows, manifest, (tr, va, te) = _prepare_splits(run, args.data)
-    norm = manifest["normalization"]
+    manifest, splits = _split_arrays(args.data)
     rows = {}
     for name in names:
-        overrides = dict(ABLATION_VARIANTS[name])
-        lag = overrides.pop("__lag__", None)
-        run_model = dict(run.model)
-        run_model.update(overrides)
-        variant_run = RunConfig.from_dict({**run.effective_dict(),
-                                           "model": run_model})
-        trn, val, tst = tr, va, te
-        if lag is not None:
-            trn, val, tst = (truncate_lag(s, lag) for s in (tr, va, te))
-        config = _model_config(variant_run, manifest, lag=lag)
-        model = MeantModel(config, seed=run.train.seed)
-        train(model, windows_to_arrays(trn, norm),
-              windows_to_arrays(val, norm), run.train)
-        report = evaluate(model, windows_to_arrays(tst, norm),
-                          run.train.batch_size)
+        variant = RunConfig(model={**run.model, **ABLATION_VARIANTS[name]})
+        config = _model_config(variant, manifest)
+        model, _, _, report = _fit_and_score(config, run, splits)
         rows[name] = {
             "parameters": model.parameter_count(),
             "macro_precision": report.macro_precision,
@@ -339,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-days", type=int, default=26)
     p.add_argument("--min-tweets", type=int, default=1)
     p.add_argument("--fold-nontrading", action="store_true")
+    p.add_argument("--split", type=_split_arg, default=DEFAULT_SPLIT,
+                   help="TRAIN,VAL,TEST fractions (default 0.8,0.1,0.1) "
+                        "or TRAIN_END,VAL_END ISO dates")
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_eval)
 

@@ -12,35 +12,28 @@ from .training import TrainConfig
 
 
 @dataclass
-class DataConfig:
-    """The split spec; the dataset itself is built by ``build-dataset``."""
-
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    # optional ISO (train_end, val_end) pair; overrides the fractions
-    split_dates: tuple[str, str] | None = None
-
-
-@dataclass
 class RunConfig:
-    data: DataConfig = field(default_factory=DataConfig)
     model: dict = field(default_factory=dict)    # ModelConfig overrides
     train: TrainConfig = field(default_factory=TrainConfig)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known_sections = {"data", "model", "train"}
-        unknown = set(doc) - known_sections
+        unknown = set(doc) - {"model", "train"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        out = cls()
-        out.data = _build(DataConfig, doc.get("data", {}), "data")
-        out.train = _build(TrainConfig, doc.get("train", {}), "train")
-        model_keys = {f.name for f in dataclasses.fields(ModelConfig)}
-        bad = set(doc.get("model", {})) - model_keys
-        if bad:
-            raise ConfigError(f"unknown model config keys: {sorted(bad)}")
-        out.model = dict(doc.get("model", {}))
-        return out
+        model, train = (doc.get(name, {}) for name in ("model", "train"))
+        for name, section, kind in (("model", model, ModelConfig),
+                                    ("train", train, TrainConfig)):
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            unknown = set(section) - {f.name for f in dataclasses.fields(kind)}
+            if unknown:
+                raise ConfigError(
+                    f"unknown keys in section {name!r}: {sorted(unknown)}")
+        try:
+            return cls(model=dict(model), train=TrainConfig(**train))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad section 'train': {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -55,26 +48,6 @@ class RunConfig:
 
     def effective_dict(self) -> dict:
         """Fully defaulted view, suitable for echoing into the run dir."""
-        return {
-            "data": dataclasses.asdict(self.data),
-            "model": dict(self.model),
-            "train": dataclasses.asdict(self.train),
-        }
+        return {"model": dict(self.model),
+                "train": dataclasses.asdict(self.train)}
 
-
-def _build(cls, section: dict, name: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    kwargs = dict(section)
-    if cls is DataConfig and "split_fractions" in kwargs:
-        kwargs["split_fractions"] = tuple(kwargs["split_fractions"])
-    if cls is DataConfig and kwargs.get("split_dates") is not None:
-        kwargs["split_dates"] = tuple(kwargs["split_dates"])
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad section {name!r}: {exc}") from exc

@@ -11,6 +11,7 @@ import datetime as dt
 import json
 import logging
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .tokenizer import SEP_TOKEN, TokenizerSpec, tokenize
 
 log = logging.getLogger("meant.dataset")
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
+# the split a dataset records unless ``build-dataset --split`` names another
+DEFAULT_SPLIT = {"fractions": [0.8, 0.1, 0.1]}
 
 
 @dataclass(frozen=True)
@@ -249,31 +252,25 @@ def split_by_dates(windows: list[LagWindow], train_end: dt.date,
     return train, val, test
 
 
-def truncate_lag(windows: list[LagWindow], lag: int) -> list[LagWindow]:
-    """Keep only the most recent ``lag`` days of each window."""
-    if not windows:
-        return []
-    if lag < 1 or lag > windows[0].lag:
-        raise ContractError(
-            f"cannot truncate lag {windows[0].lag} windows to {lag}")
-    out = []
-    for w in windows:
-        out.append(LagWindow(ticker=w.ticker, target_date=w.target_date,
-                             lag=lag, M=w.M[-lag:], X=w.X[-lag:],
-                             G=w.G[-lag:], label=w.label))
-    return out
+def split_windows(windows: list[LagWindow], split: dict):
+    """Train/val/test by a manifest's split record: ``{"fractions": [f, f, f]}``
+    or ``{"dates": [train_end, val_end]}`` with ISO dates."""
+    kind = set(split) if isinstance(split, dict) else None
+    if kind == {"fractions"}:
+        return chronological_split(windows, tuple(split["fractions"]))
+    if kind == {"dates"}:
+        train_end, val_end = (dt.date.fromisoformat(d) for d in split["dates"])
+        return split_by_dates(windows, train_end, val_end)
+    raise ContractError(f"unknown split record {split!r}")
 
 
 # -- persistence -------------------------------------------------------
 
 
-def _normalization_stats(windows: list[LagWindow],
-                         train_fraction: float) -> dict:
-    ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
-    head = ordered[:max(1, int(len(ordered) * train_fraction))] or ordered
-    if not head:
+def _normalization_stats(train: list[LagWindow]) -> dict:
+    if not train:
         return {"mean": [0.0] * 5, "std": [1.0] * 5}
-    stacked = np.concatenate([w.M for w in head], axis=0)
+    stacked = np.concatenate([w.M for w in train], axis=0)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)
     std[std == 0] = 1.0
@@ -286,9 +283,11 @@ def _json_bytes(obj) -> bytes:
 
 def save_dataset(windows: list[LagWindow], out_dir,
                  tokenizer: TokenizerSpec | None = None,
-                 train_fraction: float = 0.8) -> None:
-    """Write manifest.json, windows.jsonl and per-day graph blobs."""
-    from pathlib import Path
+                 split: dict = DEFAULT_SPLIT) -> None:
+    """Write manifest.json, windows.jsonl and per-day graph blobs. The
+    manifest records ``split``; the MACD normalization is fitted on its
+    training part, which must not be empty unless ``windows`` is."""
+    train = split_windows(windows, split)[0] if windows else []
     out = Path(out_dir)
     (out / "graphs").mkdir(parents=True, exist_ok=True)
 
@@ -300,8 +299,8 @@ def save_dataset(windows: list[LagWindow], out_dir,
         "lag": windows[0].lag if windows else None,
         "seq_len": seq_len,
         "image_shape": image_shape,
-        "normalization": _normalization_stats(windows, train_fraction) if windows
-        else {"mean": [0.0] * 5, "std": [1.0] * 5},
+        "normalization": _normalization_stats(train),
+        "split": split,
         "label_counts": {str(k): sum(1 for w in windows if w.label == k)
                          for k in (0, 1)},
         "count": len(windows),
@@ -331,7 +330,6 @@ def save_dataset(windows: list[LagWindow], out_dir,
 
 def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
     """Read a dataset directory back; returns (windows, manifest)."""
-    from pathlib import Path
     src = Path(in_dir)
     try:
         manifest = json.loads((src / "manifest.json").read_text("utf-8"))
@@ -345,18 +343,18 @@ def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
     for lineno, line in enumerate(filter(None, text.split("\n")), start=1):
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(
-                f"windows.jsonl:{lineno}: bad JSON: {exc}") from exc
-        G = [decode_graph_blob((src / "graphs" / name).read_bytes())
-             for name in row["graphs"]]
-        w = LagWindow(ticker=row["ticker"],
-                      target_date=dt.date.fromisoformat(row["target_date"]),
-                      lag=row["lag"],
-                      M=np.array(row["M"], dtype=np.float64),
-                      X=[list(map(int, seq)) for seq in row["X"]],
-                      G=G, label=int(row["label"]))
-        w.validate()
+            G = [decode_graph_blob((src / "graphs" / name).read_bytes())
+                 for name in row["graphs"]]
+            w = LagWindow(ticker=row["ticker"],
+                          target_date=dt.date.fromisoformat(row["target_date"]),
+                          lag=row["lag"],
+                          M=np.array(row["M"], dtype=np.float64),
+                          X=[list(map(int, seq)) for seq in row["X"]],
+                          G=G, label=int(row["label"]))
+            w.validate()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"windows.jsonl:{lineno}: bad row: "
+                                     f"{type(exc).__name__}: {exc}") from exc
         windows.append(w)
     if len(windows) != manifest.get("count"):
         raise DatasetFormatError(

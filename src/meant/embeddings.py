@@ -16,6 +16,9 @@ from .tensor import Tensor, embedding_lookup, matmul, rotate_pairs
 
 ROTARY_BASE = 10000.0
 XPOS_GAMMA = 0.4
+# positions are divided by this before the xPos decay is raised to them
+# (Sun et al. 2022, arXiv 2212.10554), so the scale stays near 1 at s=128
+XPOS_SCALE_BASE = 512.0
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def apply_rotary(q: Tensor, k: Tensor, positions) -> tuple[Tensor, Tensor]:
 
 def xpos_scales(positions, d: int, gamma: float = XPOS_GAMMA) -> np.ndarray:
     zeta = (np.arange(d // 2) / (d / 2) + gamma) / (1.0 + gamma)
-    pos = np.asarray(positions, dtype=np.float64)[:, None]
+    pos = np.asarray(positions, dtype=np.float64)[:, None] / XPOS_SCALE_BASE
     return np.repeat(zeta[None, :] ** pos, 2, axis=-1)
 
 

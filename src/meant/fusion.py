@@ -241,17 +241,29 @@ class MeantModel:
             + (c.d_p if c.use_image else 0)
         self.head = ClassifierHead(rng, final_dim)
 
+    def _check_inputs(self, ids, macd, images) -> None:
+        """Each enabled input is present with the config's lag after the
+        batch axis, and ids with its seq_len after that."""
+        c = self.config
+        for on, x, name, want in ((c.use_text, ids, "token ids", (c.lag, c.seq_len)),
+                                  (c.use_price, macd, "MACD input", (c.lag,)),
+                                  (c.use_image, images, "images", (c.lag,))):
+            if on and x is None:
+                raise ContractError(f"model takes {name} but got none")
+            if on and np.shape(x)[1:1 + len(want)] != want:
+                raise DimensionError(f"{name} of shape {np.shape(x)}: model "
+                                     f"takes lag {c.lag}, seq_len {c.seq_len}")
+
     def forward(self, ids: np.ndarray | None, macd: np.ndarray | None,
                 images: np.ndarray | None) -> Tensor:
         c = self.config
+        self._check_inputs(ids, macd, images)
         parts: list[Tensor] = []
 
         t_lang = None
         if self.temporal is not None:
             l_seq = None
             if c.use_text:
-                if ids is None:
-                    raise ContractError("text modality enabled but no token ids")
                 l_out = self.language(ids)
                 if self.pool is not None:
                     l_seq = self.pool(l_out)
@@ -259,16 +271,12 @@ class MeantModel:
                     l_seq = mean_pool(l_out)
             m_in = None
             if c.use_price:
-                if macd is None:
-                    raise ContractError("price modality enabled but no MACD input")
                 m_in = Tensor(np.asarray(macd, dtype=np.float64))
             fused = fuse_price(l_seq, m_in)
             t_lang = self.temporal(fused)
             parts.append(t_lang)
 
         if c.use_image:
-            if images is None:
-                raise ContractError("image modality enabled but no images")
             i_out = self.vision(images)
             parts.append(self.image_proj(i_out))
 

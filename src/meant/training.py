@@ -164,6 +164,14 @@ def windows_to_arrays(windows: list[LagWindow],
     }
 
 
+def truncate_lag(data: dict[str, np.ndarray], lag: int) -> dict[str, np.ndarray]:
+    """Keep the most recent ``lag`` days of ``windows_to_arrays`` output."""
+    available = data["macd"].shape[1]
+    if not 1 <= lag <= available:
+        raise ContractError(f"cannot truncate lag {available} windows to {lag}")
+    return {k: (v if k == "labels" else v[:, -lag:]) for k, v in data.items()}
+
+
 def _batch(data: dict, idx) -> dict:
     # disabled modalities travel as None and stay None per batch; a slice
     # ``idx`` gives views, an index array gives copies

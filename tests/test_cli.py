@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -7,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meant.cli import ABLATION_VARIANTS, main
+from meant.cli import ABLATION_VARIANTS, _model_config, build_parser, main
 from meant.config import RunConfig
 from meant.errors import ConfigError
+from meant.fusion import MeantModel
+from meant.training import save_checkpoint
 from meant.synthetic import make_sine_prices, make_tweets
 
 MODEL_OVERRIDES = {"d_l": 8, "d_p": 8, "heads": 2, "lang_depth": 1,
@@ -30,6 +33,14 @@ def write_inputs(root: Path) -> tuple[Path, Path]:
                                  "date": rec.date.isoformat(),
                                  "text": rec.text}) + "\n")
     return prices_csv, tweets_jsonl
+
+
+def build_args(prices_csv, tweets_jsonl, out) -> list[str]:
+    """The workspace's build-dataset command line, writing to ``out``."""
+    return ["build-dataset", "--prices", str(prices_csv),
+            "--tweets", str(tweets_jsonl), "--out", str(out),
+            "--lag", "3", "--seq-len", "8", "--vocab-size", "32",
+            "--graph-size", "32"]
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +107,30 @@ class TestBuildDataset:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
 
+    def test_bad_split_exits_one(self, workspace, tmp_path, capsys):
+        # two fractions; fractions not summing to 1; dates out of order;
+        # a split that leaves the training part empty
+        for split in ("0.5,0.5", "0.5,0.3,0.3", "2022-06-14,2022-04-19",
+                      "2000-01-03,2000-02-01"):
+            out = tmp_path / "ds"
+            rc = main(build_args(workspace["prices"], workspace["tweets"], out)
+                      + ["--split", split])
+            assert rc == 1, split
+            assert not out.exists(), split
+
+    @pytest.mark.parametrize("row", [
+        "[1, 2]",
+        '{"ticker": "SINE", "date": 5, "text": "up"}',
+        '{"ticker": "SINE", "date": "2022-01-03", "text": 5}',
+    ], ids=["not_an_object", "date_not_a_string", "text_not_a_string"])
+    def test_malformed_tweet_row_exits_one(self, workspace, tmp_path, capsys,
+                                           row):
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text(workspace["tweets"].read_text() + row + "\n")
+        rc = main(build_args(workspace["prices"], tweets, tmp_path / "ds"))
+        assert rc == 1
+        assert "bad tweet row" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):
@@ -135,6 +170,31 @@ class TestTrain:
             rc = main(["train", "--config", str(bad),
                        "--data", str(workspace["data"]), "--out", str(tmp_path)])
             assert rc == 1
+
+    def test_config_naming_data_section_exits_one(self, workspace, tmp_path,
+                                                  capsys):
+        # the split moved from the run config to build-dataset --split
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"data": {"split_fractions": [0.6, 0.2, 0.2]},
+                                   "model": MODEL_OVERRIDES}))
+        rc = main(["train", "--config", str(old),
+                   "--data", str(workspace["data"]), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "data" in capsys.readouterr().err
+
+    def test_window_row_missing_label_exits_one(self, workspace, tmp_path,
+                                                capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(workspace["data"], data)
+        lines = (data / "windows.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        del row["label"]
+        lines[1] = json.dumps(row)
+        (data / "windows.jsonl").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--data", str(data), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "windows.jsonl:2" in capsys.readouterr().err
 
     def test_zero_modality_config_exits_one(self, workspace, tmp_path):
         bad = tmp_path / "nomod.json"
@@ -183,10 +243,46 @@ class TestEval:
         assert rc == 1
         assert "temporal_ffn" in capsys.readouterr().err
 
+    def test_checkpoint_lag_beyond_dataset_exits_one(self, workspace,
+                                                     tmp_path, capsys):
+        manifest = json.loads((workspace["data"] / "manifest.json").read_text())
+        config = _model_config(
+            RunConfig.from_dict({"model": {**MODEL_OVERRIDES, "lag": 5}}), manifest)
+        params = {k: p.data for k, p in MeantModel(config).params().items()}
+        save_checkpoint(tmp_path / "lag5.ckpt", config, params)
+        rc = main(["eval", "--checkpoint", str(tmp_path / "lag5.ckpt"),
+                   "--data", str(workspace["data"]), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "lag" in capsys.readouterr().err
+
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
         assert rc != 0
+
+
+class TestRecordedSplit:
+    """``build-dataset --split`` fixes the split; train, eval and ablate
+    all read it from the manifest."""
+
+    @pytest.mark.parametrize("split", ["0.6,0.2,0.2", "2022-04-19,2022-06-14"],
+                             ids=["fractions", "dates"])
+    def test_eval_reproduces_train_metrics(self, workspace, tmp_path, split):
+        data, run, ev = tmp_path / "ds", tmp_path / "run", tmp_path / "eval"
+        assert main(build_args(workspace["prices"], workspace["tweets"], data)
+                    + ["--split", split]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert manifest["split"] == build_parser().parse_args(
+            build_args("p", "t", "o") + ["--split", split]).split
+        assert main(["train", "--config", str(workspace["config"]),
+                     "--data", str(data), "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "model.ckpt"),
+                     "--data", str(data), "--split", "test",
+                     "--out", str(ev)]) == 0
+        want = (run / "test_metrics.json").read_bytes()
+        assert (ev / "metrics.json").read_bytes() == want
+        # both splits hold out the last two of the seven windows
+        assert sum(map(sum, json.loads(want)["confusion"])) == 2
 
 
 class TestAblate:
@@ -264,7 +360,6 @@ class TestRenderGraphs:
 class TestRunConfig:
     def test_defaults(self):
         run = RunConfig.from_dict({})
-        assert run.data.split_fractions == (0.8, 0.1, 0.1)
         assert run.train.epochs == 15
         assert run.train.lr == 5e-5
         assert run.train.t0 == 7.0
@@ -273,14 +368,13 @@ class TestRunConfig:
     # each case list ends with options that were retired, so configs
     # written before that fail loudly instead of being ignored
     def test_unknown_section(self):
-        for section in ("optimizer", "output"):
+        for section in ("optimizer", "output", "data"):
             with pytest.raises(ConfigError, match="sections"):
                 RunConfig.from_dict({section: {}})
 
     def test_unknown_key_in_section(self):
-        for section, key in (("train", "momentum"), ("data", "lag")):
-            with pytest.raises(ConfigError, match=key):
-                RunConfig.from_dict({section: {key: 1}})
+        with pytest.raises(ConfigError, match="momentum"):
+            RunConfig.from_dict({"train": {"momentum": 1}})
 
     def test_unknown_model_key(self):
         for key in ("dropout", "use_pad_mask", "temporal_ffn"):
@@ -288,10 +382,14 @@ class TestRunConfig:
                 RunConfig.from_dict({"model": {key: 1}})
 
     def test_split_dates_parsed(self):
-        run = RunConfig.from_dict(
-            {"data": {"split_dates": ["2022-05-01", "2022-06-01"]}})
-        assert run.data.split_dates == ("2022-05-01", "2022-06-01")
-        assert RunConfig.from_dict({}).data.split_dates is None
+        # split dates and fractions come from build-dataset's --split
+        def split(*flag):
+            return build_parser().parse_args(build_args("p", "t", "o")
+                                             + list(flag)).split
+        assert split("--split", "2022-05-01,2022-06-01") == {
+            "dates": ["2022-05-01", "2022-06-01"]}
+        assert split("--split", "0.6,0.2,0.2") == {"fractions": [0.6, 0.2, 0.2]}
+        assert split() == {"fractions": [0.8, 0.1, 0.1]}
 
     def test_effective_dict_round_trip(self):
         run = RunConfig.from_dict({"train": {"epochs": 3},

@@ -6,15 +6,15 @@ import pytest
 
 from meant.dataset import (LagWindow, TweetRecord, build_lag_windows,
                            chronological_split, concat_day_tweets,
-                           load_dataset, save_dataset,
-                           split_by_dates, stocknet_label, truncate_lag)
+                           load_dataset, save_dataset, split_by_dates,
+                           split_windows, stocknet_label)
 from meant.errors import ContractError, DatasetFormatError
 
 from meant.indicators import (CrossSignal, classify_crossover, compute_macd,
                               macd_vector)
 from meant.synthetic import make_sine_prices, make_tweets
 from meant.tokenizer import build_vocab, tokenize
-from meant.training import windows_to_arrays
+from meant.training import truncate_lag, windows_to_arrays
 
 
 class TestConcatTweets:
@@ -250,20 +250,23 @@ class TestSplit:
 class TestTruncateLag:
     def test_keeps_most_recent_days(self, sine_dataset):
         windows, _, _ = sine_dataset
-        short = truncate_lag(windows, 2)
-        for w, s in zip(windows, short):
-            assert s.lag == 2
-            assert np.array_equal(s.M, w.M[-2:])
-            assert s.X == w.X[-2:]
-            assert s.label == w.label
+        data = windows_to_arrays(windows)
+        short = truncate_lag(data, 2)
+        assert np.array_equal(short["macd"], data["macd"][:, -2:])
+        assert np.array_equal(short["ids"], data["ids"][:, -2:])
+        assert np.array_equal(short["images"], data["images"][:, -2:])
+        assert np.array_equal(short["labels"], data["labels"])
+        assert short["macd"].shape[1] == 2
+        assert np.array_equal(short["macd"][0], windows[0].M[-2:])
 
     def test_invalid_target(self, sine_dataset):
         windows, _, _ = sine_dataset
+        data = windows_to_arrays(windows[:3])
         with pytest.raises(ContractError):
-            truncate_lag(windows, 6)
+            truncate_lag(data, 6)
         with pytest.raises(ContractError):
-            truncate_lag(windows, 0)
-        assert truncate_lag([], 3) == []
+            truncate_lag(data, 0)
+        assert truncate_lag(data, 5)["macd"].shape[1] == 5
 
 
 class TestPersistence:
@@ -308,7 +311,7 @@ class TestPersistence:
 
     def test_version_mismatch(self, tmp_path, sine_dataset):
         windows, _, tok = sine_dataset
-        save_dataset(windows[:3], tmp_path / "ds", tokenizer=tok)
+        save_dataset(windows[:10], tmp_path / "ds", tokenizer=tok)
         mpath = tmp_path / "ds" / "manifest.json"
         manifest = json.loads(mpath.read_text())
         manifest["version"] = 99
@@ -318,7 +321,7 @@ class TestPersistence:
 
     def test_count_mismatch(self, tmp_path, sine_dataset):
         windows, _, tok = sine_dataset
-        save_dataset(windows[:4], tmp_path / "ds", tokenizer=tok)
+        save_dataset(windows[:10], tmp_path / "ds", tokenizer=tok)
         path = tmp_path / "ds" / "windows.jsonl"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
@@ -331,16 +334,22 @@ class TestPersistence:
         assert back == [] and manifest["count"] == 0
 
     def test_normalization_from_training_head(self, tmp_path, sine_dataset):
+        # fitted on exactly the training part of the recorded split
         windows, _, tok = sine_dataset
-        save_dataset(windows, tmp_path / "ds", tokenizer=tok)
-        _, manifest = load_dataset(tmp_path / "ds")
-        ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
-        head = ordered[:int(len(ordered) * 0.8)]
-        stacked = np.concatenate([w.M for w in head], axis=0)
-        assert np.allclose(manifest["normalization"]["mean"],
-                           stacked.mean(axis=0), atol=1e-12)
-        normed = windows_to_arrays(head, manifest["normalization"])["macd"]
-        assert np.max(np.abs(normed.reshape(-1, 5).mean(axis=0))) < 1e-9
+        for split in ({"fractions": [0.6, 0.2, 0.2]},
+                      {"dates": [windows[6].target_date.isoformat(),
+                                 windows[-3].target_date.isoformat()]}):
+            save_dataset(windows, tmp_path / "ds", tokenizer=tok, split=split)
+            _, manifest = load_dataset(tmp_path / "ds")
+            assert manifest["split"] == split
+            head = split_windows(windows, split)[0]
+            stacked = np.concatenate([w.M for w in head], axis=0)
+            assert np.allclose(manifest["normalization"]["mean"],
+                               stacked.mean(axis=0), atol=1e-12)
+            assert np.allclose(manifest["normalization"]["std"],
+                               stacked.std(axis=0), atol=1e-12)
+            normed = windows_to_arrays(head, manifest["normalization"])["macd"]
+            assert np.max(np.abs(normed.reshape(-1, 5).mean(axis=0))) < 1e-9
 
 
 class TestLagWindowValidation:

@@ -136,9 +136,11 @@ class TestXpos:
 
     def test_scale_formula(self):
         d, gamma = 8, 0.4
+        # positions are divided by the scale base 512 (Sun et al. 2022)
         scales = xpos_scales(np.array([3.0]), d)
         zeta = (np.arange(d // 2) / (d / 2) + gamma) / (1.0 + gamma)
-        assert np.allclose(scales[0], np.repeat(zeta ** 3.0, 2), atol=1e-15)
+        assert np.allclose(scales[0], np.repeat(zeta ** (3.0 / 512), 2),
+                           atol=1e-15)
 
     def test_q_and_k_scales_cancel(self):
         # q is scaled by zeta^m and k by zeta^-n, so equal positions cancel

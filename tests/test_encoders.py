@@ -48,14 +48,17 @@ class TestMultiHeadAttention:
             mha(x, mask=np.zeros((1, 3), dtype=bool))
 
     def test_pad_rows_do_not_reach_real_tokens_under_xpos_at_s128(self):
-        # xPos logits at s=128 reach ~1e68, far beyond any additive mask
-        # constant; masked keys must still get exactly zero weight
+        # masked keys get exactly zero weight, and with xPos's scale base
+        # the logits stay bounded at s=128 (without it they reach ~1e66)
         mha = make_mha(dim=32, heads=2)
         s, real = 128, 100
         x = rng_(10).normal(size=(1, s, 32))
         mask = np.arange(s)[None, :] < real
         rope = lambda q, k: apply_xpos(q, k, np.arange(s))
         out = mha(Tensor(x), mask=mask, rope=rope).data
+        q, k, _ = mha.project(Tensor(x), Tensor(x), rope=rope)
+        logits = q.data @ np.swapaxes(k.data, -1, -2) * mha.scale
+        assert np.max(np.abs(logits)) < 1.0
         x[:, real:] = rng_(11).normal(size=(1, s - real, 32))
         again = mha(Tensor(x), mask=mask, rope=rope).data
         assert np.array_equal(again[:, :real], out[:, :real])

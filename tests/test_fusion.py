@@ -213,6 +213,21 @@ class TestMeantModel:
         with pytest.raises(ContractError):
             model(batch["ids"], batch["macd"], None)
 
+    def test_input_shapes_checked_against_config(self):
+        # every enabled input needs the config's lag; ids its seq_len
+        model = toy_model(lag=5)
+        for lag in (3, 7):
+            batch = toy_batch(toy_model(lag=lag).config)
+            with pytest.raises(DimensionError, match="lag"):
+                model(batch["ids"], batch["macd"], batch["images"])
+        good = toy_batch(model.config)
+        for key in ("ids", "macd", "images"):
+            short = {**good, key: good[key][:, 1:]}
+            with pytest.raises(DimensionError, match="lag"):
+                model(short["ids"], short["macd"], short["images"])
+        with pytest.raises(DimensionError, match="seq_len"):
+            model(good["ids"][..., :-1], good["macd"], good["images"])
+
     def test_disabled_modality_ignores_input(self):
         model = toy_model(use_image=False)
         batch = toy_batch(toy_model().config)
