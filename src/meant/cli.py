@@ -22,8 +22,8 @@ from .errors import ConfigError, ContractError, DatasetFormatError, NumericError
 from .fusion import MeantModel, ModelConfig
 from .graphs import GraphSpec, encode_graph_blob, render_macd_graph, write_ppm
 from .indicators import compute_macd, load_prices_csv
-from .tensor import (Tensor, attention, grad_check, gelu, layer_norm, matmul,
-                     rotate_pairs, softmax_last_dim)
+from .tensor import (Tensor, attention, embedding_lookup, grad_check, gelu,
+                     layer_norm, matmul, rotate_pairs, softmax_last_dim)
 from .tokenizer import TokenizerSpec, build_vocab
 from .training import (evaluate, restore_model, save_checkpoint, train,
                        truncate_lag, windows_to_arrays)
@@ -221,6 +221,14 @@ def _toy_batch(config: ModelConfig, rng) -> dict:
     }
 
 
+def _shared_day_ids(config: ModelConfig, rng) -> np.ndarray:
+    """Token ids of two windows cut from one run of days, so that they
+    share ``lag - 1`` days."""
+    days = rng.integers(0, config.vocab_size,
+                        size=(config.lag + 1, config.seq_len))
+    return np.stack([days[:-1], days[1:]])
+
+
 def cmd_gradcheck(args) -> int:
     overrides = {}
     if args.config:
@@ -253,6 +261,13 @@ def cmd_gradcheck(args) -> int:
         yield "rotary", grad_check(
             lambda x: (rotate_pairs(x, cos, sin) * Tensor(probe6)).sum(),
             Tensor(rng.normal(size=(3, 6))))
+        # rows of an op's output gathered with repeats, as the model
+        # gathers each distinct day's encoding back into its windows
+        rows = np.array([[2, 0, 2], [1, 2, 2]])
+        probe_rows = rng.normal(size=(2, 3, 4))
+        yield "gather", grad_check(
+            lambda x: (embedding_lookup(gelu(x), rows) * Tensor(probe_rows)).sum(),
+            Tensor(rng.normal(size=(3, 4))))
 
     rng_fixed = rng.normal(size=(4, 2))
     probe = rng.normal(size=(2, 5))
@@ -269,14 +284,18 @@ def cmd_gradcheck(args) -> int:
 
     for pooling in ("mean_pool", "seq_proj"):
         config = ModelConfig.from_dict({**base, "pooling": pooling})
-        model = MeantModel(config, seed=1)
-        batch = _toy_batch(config, np.random.default_rng(3))
-        errors = model_grad_check(model, batch, max_coords=10)
-        worst = max(errors.values())
-        status = "ok" if worst < 1e-4 else "FAIL"
-        print(f"model ({pooling:<9}) max rel err {worst:.3e}  {status}")
-        if worst >= 1e-4:
-            failures.append(pooling)
+        for shared in (False, True):
+            model = MeantModel(config, seed=1)
+            batch = _toy_batch(config, np.random.default_rng(3))
+            if shared:
+                batch["ids"] = _shared_day_ids(config, np.random.default_rng(4))
+            errors = model_grad_check(model, batch, max_coords=10)
+            worst = max(errors.values())
+            status = "ok" if worst < 1e-4 else "FAIL"
+            label = f"{pooling}, shared days" if shared else pooling
+            print(f"model ({label:<9}) max rel err {worst:.3e}  {status}")
+            if worst >= 1e-4:
+                failures.append(label)
     if failures:
         print(f"gradient check FAILED: {failures}")
         return 2

@@ -328,6 +328,25 @@ def save_dataset(windows: list[LagWindow], out_dir,
     (out / "windows.jsonl").write_bytes(b"\n".join(lines) + (b"\n" if lines else b""))
 
 
+def _check_manifest(manifest) -> None:
+    """The manifest is an object of this version, with object-valued
+    ``split`` and ``normalization`` (a ``mean`` and a ``std`` list) and an
+    integer ``count``."""
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError("manifest.json: not a JSON object")
+    if manifest.get("version") != DATASET_VERSION:
+        raise DatasetFormatError(
+            f"dataset version {manifest.get('version')} != {DATASET_VERSION}")
+    for key, kind in (("split", dict), ("normalization", dict), ("count", int)):
+        if not isinstance(manifest.get(key), kind):
+            raise DatasetFormatError(
+                f"manifest.json: {key!r} missing or not a {kind.__name__}")
+    norm = manifest["normalization"]
+    if not all(isinstance(norm.get(k), list) for k in ("mean", "std")):
+        raise DatasetFormatError(
+            "manifest.json: 'normalization' needs 'mean' and 'std' lists")
+
+
 def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
     """Read a dataset directory back; returns (windows, manifest)."""
     src = Path(in_dir)
@@ -335,9 +354,7 @@ def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
         manifest = json.loads((src / "manifest.json").read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"cannot read manifest: {exc}") from exc
-    if manifest.get("version") != DATASET_VERSION:
-        raise DatasetFormatError(
-            f"dataset version {manifest.get('version')} != {DATASET_VERSION}")
+    _check_manifest(manifest)
     windows = []
     text = (src / "windows.jsonl").read_text("utf-8")
     for lineno, line in enumerate(filter(None, text.split("\n")), start=1):

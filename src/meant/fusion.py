@@ -17,8 +17,8 @@ from .encoders import (INIT_STD, EncoderConfig, FeedForward, LanguagePipeline,
                        LayerNorm, Linear, MultiHeadAttention, VisionPipeline,
                        _merge)
 from .errors import ContractError, DimensionError
-from .tensor import (Tensor, attention_weights, concat, gelu, matmul,
-                     rotate_pairs)
+from .tensor import (Tensor, attention_weights, concat, embedding_lookup, gelu,
+                     matmul, rotate_pairs)
 
 MACD_WIDTH = 5
 
@@ -264,11 +264,16 @@ class MeantModel:
         if self.temporal is not None:
             l_seq = None
             if c.use_text:
-                l_out = self.language(ids)
-                if self.pool is not None:
-                    l_seq = self.pool(l_out)
-                else:
-                    l_seq = mean_pool(l_out)
+                # a day row's encoding depends on its own token ids only, so
+                # each distinct row is encoded once and gathered back; the
+                # gather's scatter-add backward sums repeated days' gradients
+                days, inverse = np.unique(np.reshape(ids, (-1, c.seq_len)),
+                                          axis=0, return_inverse=True)
+                l_out = self.language(days[None])
+                pooled = (mean_pool(l_out) if self.pool is None
+                          else self.pool(l_out))
+                l_seq = embedding_lookup(pooled.reshape(len(days), c.d_l),
+                                         inverse.reshape(len(ids), c.lag))
             m_in = None
             if c.use_price:
                 m_in = Tensor(np.asarray(macd, dtype=np.float64))

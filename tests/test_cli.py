@@ -260,6 +260,25 @@ class TestEval:
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
         assert rc != 0
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "normalization"},
+        lambda m: {**m, "normalization": {"mean": [0.0] * 5}},
+        lambda m: {**m, "split": [0.8, 0.1, 0.1]},
+        lambda m: {k: v for k, v in m.items() if k != "count"},
+    ], ids=["list", "no_normalization", "no_std", "split_not_object",
+            "no_count"])
+    def test_malformed_manifest_exits_one(self, workspace, trained, tmp_path,
+                                          capsys, edit):
+        data = tmp_path / "ds"
+        shutil.copytree(workspace["data"], data)
+        path = data / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"),
+                   "--data", str(data), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "manifest.json" in capsys.readouterr().err
+
 
 class TestRecordedSplit:
     """``build-dataset --split`` fixes the split; train, eval and ablate
@@ -321,7 +340,10 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "all gradient checks passed" in out
-        assert out.count("ok") >= 6
+        assert out.count("ok") >= 11
+        assert "op gather" in out
+        for pooling in ("mean_pool", "seq_proj"):
+            assert f"model ({pooling}, shared days) max rel err" in out
 
 
 class TestRenderGraphs:

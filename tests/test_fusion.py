@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from conftest import TOY_MODEL, toy_batch, toy_model
 from meant.errors import ContractError, DimensionError
 from meant.fusion import (MeantModel, ModelConfig, QueryTargetAttention,
                           SequenceProjection, fuse_price, mean_pool)
-from meant.tensor import Tensor
+from meant.tensor import Tensor, concat
+from meant.training import cross_entropy
 
 
 def rng_(seed=0):
@@ -263,3 +266,83 @@ class TestMeantModel:
         assert model.temporal is None
         assert model.language is None
         assert not any(k.startswith("temporal") for k in model.params())
+
+
+def _rolling_ids(config: ModelConfig, b: int, seed: int = 0) -> np.ndarray:
+    """``b`` windows cut from one run of day rows, so neighbouring windows
+    share days. Days end in PAD tails of random length, one day is fully
+    padded, and the first window holds one day twice."""
+    rng = rng_(seed)
+    n_days = b + config.lag - 1
+    days = rng.integers(1, config.vocab_size, size=(n_days, config.seq_len))
+    for day, real in zip(days, rng.integers(1, config.seq_len + 1, n_days)):
+        day[real:] = config.pad_id
+    days[1] = config.pad_id
+    ids = np.stack([days[i:i + config.lag] for i in rng.permutation(b)])
+    ids[0, 0] = ids[0, -1]
+    return ids
+
+
+def _per_window_forward(model: MeantModel, ids, macd, images) -> Tensor:
+    """The model's forward with every (window, day) row encoded on its own."""
+    l_out = model.language(ids)
+    l_seq = mean_pool(l_out) if model.pool is None else model.pool(l_out)
+    parts = [model.temporal(fuse_price(l_seq, Tensor(macd)))]
+    if model.vision is not None:
+        parts.append(model.image_proj(model.vision(images)))
+    return model.head(parts[0] if len(parts) == 1 else concat(parts, axis=-1))
+
+
+def _logits_and_grads(model, forward, batch):
+    model.zero_grad()
+    logits = forward(batch["ids"], batch["macd"], batch["images"])
+    cross_entropy(logits, batch["labels"]).backward()
+    return logits.data, {k: p.grad for k, p in model.params().items()}
+
+
+def _assert_matches_per_window(model, batch):
+    got, got_grads = _logits_and_grads(model, model, batch)
+    want, want_grads = _logits_and_grads(
+        model, lambda *x: _per_window_forward(model, *x), batch)
+    assert got.tobytes() == want.tobytes()
+    for name, g in want_grads.items():
+        scale = np.abs(g).max()
+        # a gradient that is zero up to roundoff (the seq_proj bias, which
+        # the layer norm after it cancels) is compared absolutely
+        tol = 1e-12 * scale if scale > 1e-14 else 1e-15
+        assert np.abs(got_grads[name] - g).max() <= tol, name
+
+
+class TestDistinctDayEncoding:
+    """The forward encodes each distinct day row of a batch once."""
+
+    @pytest.mark.parametrize("pooling", ["mean_pool", "seq_proj"])
+    @pytest.mark.parametrize("lang_pos", ["xpos", "rotary"])
+    def test_toy_matches_per_window_forward(self, pooling, lang_pos):
+        model = toy_model(lag=5, pooling=pooling, lang_pos=lang_pos)
+        batch = toy_batch(model.config, b=8)
+        batch["ids"] = _rolling_ids(model.config, 8)
+        u = len(np.unique(batch["ids"].reshape(-1, 4), axis=0))
+        assert u < 8 * 5
+        _assert_matches_per_window(model, batch)
+
+    def test_seq128_with_pad_tails_matches_per_window_forward(self):
+        model = toy_model(vocab_size=64, seq_len=128, lag=5, d_l=16,
+                          lang_depth=2, use_image=False)
+        batch = toy_batch(model.config, b=6, seed=2)
+        batch["ids"] = _rolling_ids(model.config, 6, seed=3)
+        _assert_matches_per_window(model, batch)
+
+    def test_every_day_identical(self):
+        model = toy_model(lag=5)
+        batch = toy_batch(model.config, b=3)
+        batch["ids"] = np.broadcast_to(batch["ids"][0, 0], (3, 5, 4)).copy()
+        _assert_matches_per_window(model, batch)
+
+    def test_no_day_repeated(self):
+        model = toy_model(lag=5)
+        batch = toy_batch(model.config, b=3)
+        batch["ids"] = np.array(
+            list(itertools.product(range(1, 4), repeat=4))[:15]).reshape(3, 5, 4)
+        assert len(np.unique(batch["ids"].reshape(-1, 4), axis=0)) == 15
+        _assert_matches_per_window(model, batch)
