@@ -70,7 +70,7 @@ class LagWindow:
 
 
 def concat_day_tweets(tweets: list[TweetRecord]) -> str:
-    """Join one day's tweets with the literal separator token."""
+    """Join one day's tweets with the separator token between them."""
     if not tweets:
         return ""
     keys = {(t.ticker, t.date) for t in tweets}

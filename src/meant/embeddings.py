@@ -104,31 +104,18 @@ def apply_xpos(q: Tensor, k: Tensor, positions) -> tuple[Tensor, Tensor]:
             rotate_pairs(k, cos * inv, sin * inv))
 
 
-def apply_axial_rotary_2d(q: Tensor, k: Tensor, rows, cols,
-                          literal: bool = False) -> tuple[Tensor, Tensor]:
+def apply_axial_rotary_2d(q: Tensor, k: Tensor, rows, cols) -> tuple[Tensor, Tensor]:
     """2-D rotary: the first half of dims follows the row index, the second
-    the column index.
-
-    ``literal`` swaps in per-pair angles theta_i = i * floor(d/2) * pi
-    (kept for fidelity experiments; every rotation degenerates to entries
-    in {-1, 0, 1}).
-    """
+    the column index."""
     d = q.shape[-1]
     if d % 4:
         raise DimensionError(f"axial rotary needs d divisible by 4, got {d}")
     rows = np.asarray(rows, dtype=np.float64)
     cols = np.asarray(cols, dtype=np.float64)
-    half = d // 2
-    if literal:
-        pair_theta = np.arange(d // 2) * (d // 2) * np.pi
-        theta = np.empty((rows.size, d // 2))
-        theta[:, :half // 2] = rows[:, None] * pair_theta[None, :half // 2]
-        theta[:, half // 2:] = cols[:, None] * pair_theta[None, half // 2:]
-    else:
-        freqs = _pair_freqs(half)
-        theta = np.empty((rows.size, d // 2))
-        theta[:, :half // 2] = rows[:, None] * freqs[None, :]
-        theta[:, half // 2:] = cols[:, None] * freqs[None, :]
+    freqs = _pair_freqs(d // 2)
+    theta = np.empty((rows.size, d // 2))
+    theta[:, :d // 4] = rows[:, None] * freqs[None, :]
+    theta[:, d // 4:] = cols[:, None] * freqs[None, :]
     theta = np.repeat(theta, 2, axis=-1)
     cos, sin = np.cos(theta), np.sin(theta)
     return rotate_pairs(q, cos, sin), rotate_pairs(k, cos, sin)

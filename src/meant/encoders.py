@@ -27,7 +27,6 @@ class EncoderConfig:
     dim: int = 32
     heads: int = 2
     mlp_ratio: int = 4
-    norm_mode: str = "standard"
     pos_encoding: str = "xpos"   # language: {xpos, rotary, none}
 
     def __post_init__(self):
@@ -58,14 +57,13 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, d: int, name: str, mode: str = "standard"):
+    def __init__(self, d: int, name: str):
         self.name = name
-        self.mode = mode
         self.gain = Tensor(np.ones(d), requires_grad=True)
         self.bias = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, mode=self.mode)
+        return layer_norm(x, self.gain, self.bias)
 
     def params(self) -> dict[str, Tensor]:
         return {f"{self.name}.gain": self.gain, f"{self.name}.bias": self.bias}
@@ -142,10 +140,10 @@ class FeedForward:
     """Linear -> interleaved layer norm -> GELU -> Linear."""
 
     def __init__(self, rng, dim: int, ratio: int, name: str,
-                 norm_mode: str, out_scale: float = 1.0):
+                 out_scale: float = 1.0):
         hidden = dim * ratio
         self.fc1 = Linear(rng, dim, hidden, f"{name}.fc1")
-        self.inner_norm = LayerNorm(hidden, f"{name}.inner_norm", norm_mode)
+        self.inner_norm = LayerNorm(hidden, f"{name}.inner_norm")
         self.fc2 = Linear(rng, hidden, dim, f"{name}.fc2", scale=out_scale)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -160,12 +158,12 @@ class LanguageEncoderBlock:
 
     def __init__(self, rng, cfg: EncoderConfig, name: str, out_scale: float):
         self.cfg = cfg
-        self.norm1 = LayerNorm(cfg.dim, f"{name}.norm1", cfg.norm_mode)
+        self.norm1 = LayerNorm(cfg.dim, f"{name}.norm1")
         self.attn = MultiHeadAttention(rng, cfg.dim, cfg.heads,
                                        f"{name}.attn", out_scale)
-        self.norm2 = LayerNorm(cfg.dim, f"{name}.norm2", cfg.norm_mode)
+        self.norm2 = LayerNorm(cfg.dim, f"{name}.norm2")
         self.ffn = FeedForward(rng, cfg.dim, cfg.mlp_ratio, f"{name}.ffn",
-                               cfg.norm_mode, out_scale)
+                               out_scale)
 
     def __call__(self, x: Tensor, mask=None, rope=None) -> Tensor:
         x = x + self.attn(self.norm1(x), mask=mask, rope=rope)
@@ -178,19 +176,17 @@ class LanguageEncoderBlock:
 class DividedSpaceTimeBlock:
     """Temporal attention across frames, spatial within a frame, then FFN."""
 
-    def __init__(self, rng, cfg: EncoderConfig, name: str, out_scale: float,
-                 axial_literal: bool = False):
+    def __init__(self, rng, cfg: EncoderConfig, name: str, out_scale: float):
         self.cfg = cfg
-        self.axial_literal = axial_literal
-        self.norm_t = LayerNorm(cfg.dim, f"{name}.norm_t", cfg.norm_mode)
+        self.norm_t = LayerNorm(cfg.dim, f"{name}.norm_t")
         self.attn_t = MultiHeadAttention(rng, cfg.dim, cfg.heads,
                                          f"{name}.attn_t", out_scale)
-        self.norm_s = LayerNorm(cfg.dim, f"{name}.norm_s", cfg.norm_mode)
+        self.norm_s = LayerNorm(cfg.dim, f"{name}.norm_s")
         self.attn_s = MultiHeadAttention(rng, cfg.dim, cfg.heads,
                                          f"{name}.attn_s", out_scale)
-        self.norm_f = LayerNorm(cfg.dim, f"{name}.norm_f", cfg.norm_mode)
+        self.norm_f = LayerNorm(cfg.dim, f"{name}.norm_f")
         self.ffn = FeedForward(rng, cfg.dim, cfg.mlp_ratio, f"{name}.ffn",
-                               cfg.norm_mode, out_scale)
+                               out_scale)
 
     def __call__(self, x: Tensor, grid: tuple[int, int]) -> Tensor:
         b, l, n_p, d = x.shape
@@ -207,8 +203,7 @@ class DividedSpaceTimeBlock:
         idx = np.arange(n_p)
         rows, cols = idx // gw, idx % gw
         if d // self.cfg.heads % 4 == 0:
-            rope_s = (lambda q, k: apply_axial_rotary_2d(
-                q, k, rows, cols, literal=self.axial_literal))
+            rope_s = (lambda q, k: apply_axial_rotary_2d(q, k, rows, cols))
         else:
             rope_s = None
         z = x.reshape(b * l, n_p, d)
@@ -267,7 +262,7 @@ class VisionPipeline:
     """Patch embedding plus divided space-time blocks -> I_out."""
 
     def __init__(self, rng, cfg: EncoderConfig, patch: PatchSpec,
-                 image_hw: tuple[int, int], axial_literal: bool = False):
+                 image_hw: tuple[int, int]):
         if patch.dim != cfg.dim:
             raise DimensionError(
                 f"patch dim {patch.dim} must equal encoder dim {cfg.dim}")
@@ -282,7 +277,7 @@ class VisionPipeline:
         self.proj_b = Tensor(np.zeros(cfg.dim), requires_grad=True)
         out_scale = 1.0 / math.sqrt(2.0 * cfg.depth)
         self.blocks = [DividedSpaceTimeBlock(rng, cfg, f"vision.block{i}",
-                                             out_scale, axial_literal)
+                                             out_scale)
                        for i in range(cfg.depth)]
 
     def __call__(self, images: np.ndarray) -> Tensor:

@@ -12,13 +12,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embeddings import PatchSpec, rotary_tables
+from .embeddings import PatchSpec
 from .encoders import (INIT_STD, EncoderConfig, FeedForward, LanguagePipeline,
                        LayerNorm, Linear, MultiHeadAttention, VisionPipeline,
                        _merge)
 from .errors import ContractError, DimensionError
 from .tensor import (Tensor, attention_weights, concat, embedding_lookup, gelu,
-                     matmul, rotate_pairs)
+                     matmul)
 
 MACD_WIDTH = 5
 
@@ -35,10 +35,7 @@ class ModelConfig:
     heads: int = 2
     temporal_heads: int = 1
     mlp_ratio: int = 4
-    norm_mode: str = "standard"
     lang_pos: str = "xpos"
-    temporal_pos: str = "none"       # {none, rotary}
-    axial_literal: bool = False
     pooling: str = "mean_pool"       # {mean_pool, seq_proj}
     use_text: bool = True
     use_image: bool = True
@@ -88,28 +85,28 @@ def mean_pool(l_out: Tensor) -> Tensor:
 
 class SequenceProjection:
     """Learned reduction of the second-to-last axis (s tokens of a day, or
-    every patch of the window) followed by layer norm and GELU."""
+    every patch of the window) followed by layer norm and GELU. No bias:
+    a scalar added to every lane is removed again by the layer norm's
+    centering."""
 
-    def __init__(self, rng, seq_len: int, dim: int, name: str,
-                 norm_mode: str = "standard"):
+    def __init__(self, rng, seq_len: int, dim: int, name: str):
         self.seq_len = seq_len
         self.weight = Tensor(rng.normal(0.0, INIT_STD, size=(seq_len, 1)),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(1), requires_grad=True)
-        self.norm = LayerNorm(dim, f"{name}.norm", norm_mode)
+        self.norm = LayerNorm(dim, f"{name}.norm")
         self.name = name
 
     def __call__(self, seq: Tensor) -> Tensor:
         if seq.shape[-2] != self.seq_len:
             raise DimensionError(
                 f"expected sequence axis {self.seq_len}, got {seq.shape[-2]}")
-        x = seq.swapaxes(-1, -2)                       # (..., d, s)
-        projected = matmul(x, self.weight) + self.bias  # (..., d, 1)
+        x = seq.swapaxes(-1, -2)             # (..., d, s)
+        projected = matmul(x, self.weight)   # (..., d, 1)
         squeezed = projected.reshape(*seq.shape[:-2], seq.shape[-1])
         return gelu(self.norm(squeezed))
 
     def params(self) -> dict[str, Tensor]:
-        out = {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
+        out = {f"{self.name}.weight": self.weight}
         out.update(self.norm.params())
         return out
 
@@ -132,52 +129,33 @@ def fuse_price(l_seq: Tensor | None, macd: Tensor | None) -> Tensor:
 
 
 class QueryTargetAttention(MultiHeadAttention):
-    """Attention whose query comes from the final (target-adjacent) day."""
+    """Attention whose query comes from the final (target-adjacent) day,
+    with a residual onto that day and a pre-norm FFN sub-layer."""
 
     def __init__(self, rng, dim: int, heads: int = 1, name: str = "temporal",
-                 pos_encoding: str = "none", residual: bool = True,
-                 use_ffn: bool = True, mlp_ratio: int = 4,
-                 norm_mode: str = "standard"):
+                 mlp_ratio: int = 4):
         super().__init__(rng, dim, heads, name)
-        self.pos_encoding = pos_encoding
-        self.residual = residual
-        self.ffn = None
-        if use_ffn:
-            self.ffn_norm = LayerNorm(dim, f"{name}.ffn_norm", norm_mode)
-            self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn", norm_mode)
-
-    def _rope(self, l: int):
-        """Rotary with the query at the final day's position, or None."""
-        if self.pos_encoding != "rotary":
-            return None
-        cos, sin = rotary_tables(np.arange(l), self.head_dim)
-        return lambda q, k: (rotate_pairs(q, cos[l - 1:], sin[l - 1:]),
-                             rotate_pairs(k, cos, sin))
+        self.ffn_norm = LayerNorm(dim, f"{name}.ffn_norm")
+        self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn")
 
     def __call__(self, fused: Tensor) -> Tensor:
         b, l, d = fused.shape
         if l < 1:
             raise ContractError("temporal attention needs at least one lag day")
         target = fused[:, l - 1:l, :]                  # (b, 1, d)
-        out = self.attend(target, fused, rope=self._rope(l))
-        if self.residual:
-            out = out + target
-        if self.ffn is not None:
-            out = out + self.ffn(self.ffn_norm(out))
+        out = self.attend(target, fused) + target
+        out = out + self.ffn(self.ffn_norm(out))
         return out.reshape(b, d)
 
     def attention_weights(self, fused: Tensor) -> np.ndarray:
         """The softmax row over lag days (diagnostics and tests)."""
         l = fused.shape[1]
-        q, k, _ = self.project(fused[:, l - 1:l, :], fused, self._rope(l))
+        q, k, _ = self.project(fused[:, l - 1:l, :], fused)
         return attention_weights(q.data, k.data, self.scale)
 
     def params(self) -> dict[str, Tensor]:
-        out = super().params()
-        if self.ffn is not None:
-            out.update(self.ffn_norm.params())
-            out.update(self.ffn.params())
-        return out
+        return _merge(self.wq, self.wk, self.wv, self.wo, self.ffn_norm,
+                      self.ffn)
 
 
 class ClassifierHead:
@@ -208,34 +186,28 @@ class MeantModel:
         if c.use_text:
             lang_cfg = EncoderConfig(depth=c.lang_depth, dim=c.d_l,
                                      heads=c.heads, mlp_ratio=c.mlp_ratio,
-                                     norm_mode=c.norm_mode,
                                      pos_encoding=c.lang_pos)
             self.language = LanguagePipeline(rng, c.vocab_size, lang_cfg,
                                              pad_id=c.pad_id)
             if c.pooling == "seq_proj":
-                self.pool = SequenceProjection(rng, c.seq_len, c.d_l,
-                                               "pool.seq", c.norm_mode)
+                self.pool = SequenceProjection(rng, c.seq_len, c.d_l, "pool.seq")
 
         self.vision = None
         self.image_proj = None
         if c.use_image:
             vis_cfg = EncoderConfig(depth=c.vision_depth, dim=c.d_p,
-                                    heads=c.heads, mlp_ratio=c.mlp_ratio,
-                                    norm_mode=c.norm_mode)
+                                    heads=c.heads, mlp_ratio=c.mlp_ratio)
             patch = PatchSpec(c.patch_size, c.channels, c.d_p)
             self.vision = VisionPipeline(rng, vis_cfg, patch,
-                                         (c.image_height, c.image_width),
-                                         axial_literal=c.axial_literal)
+                                         (c.image_height, c.image_width))
             total_patches = c.lag * self.vision.n_p
             self.image_proj = SequenceProjection(rng, total_patches, c.d_p,
-                                                 "pool.img", c.norm_mode)
+                                                 "pool.img")
 
         self.temporal = None
         if c.use_text or c.use_price:
             self.temporal = QueryTargetAttention(
-                rng, c.d_t, heads=c.temporal_heads,
-                pos_encoding=c.temporal_pos, mlp_ratio=c.mlp_ratio,
-                norm_mode=c.norm_mode)
+                rng, c.d_t, heads=c.temporal_heads, mlp_ratio=c.mlp_ratio)
 
         final_dim = (c.d_t if self.temporal is not None else 0) \
             + (c.d_p if c.use_image else 0)

@@ -57,13 +57,9 @@ class IndicatorSeries:
         return len(self.dates)
 
 
-def ema(values, period: int, mode: str = "period") -> np.ndarray:
-    """Exponential moving average seeded with the first sample.
-
-    ``period`` mode uses the conventional fixed alpha = 2 / (period + 1).
-    ``literal`` mode lets alpha vary with the (1-based) day index instead,
-    alpha_i = 2 / (i + 1), kept only for comparison runs.
-    """
+def ema(values, period: int) -> np.ndarray:
+    """Exponential moving average seeded with the first sample, with the
+    conventional fixed alpha = 2 / (period + 1)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ContractError("ema input must be non-empty")
@@ -73,26 +69,19 @@ def ema(values, period: int, mode: str = "period") -> np.ndarray:
         raise ContractError(f"period must be >= 1, got {period}")
     out = np.empty_like(values)
     out[0] = values[0]
-    if mode == "period":
-        alpha = 2.0 / (period + 1.0)
-        for i in range(1, values.size):
-            out[i] = (1.0 - alpha) * out[i - 1] + alpha * values[i]
-    elif mode == "literal":
-        for i in range(1, values.size):
-            alpha = 2.0 / ((i + 1) + 1.0)
-            out[i] = (1.0 - alpha) * out[i - 1] + alpha * values[i]
-    else:
-        raise ContractError(f"unknown ema mode {mode!r}")
+    alpha = 2.0 / (period + 1.0)
+    for i in range(1, values.size):
+        out[i] = (1.0 - alpha) * out[i - 1] + alpha * values[i]
     return out
 
 
 def compute_macd(prices: PriceSeries, fast: int = 12, slow: int = 26,
-                 signal_period: int = 9, ema_mode: str = "period") -> IndicatorSeries:
+                 signal_period: int = 9) -> IndicatorSeries:
     closes = np.asarray(prices.closes, dtype=np.float64)
-    ema_fast = ema(closes, fast, mode=ema_mode)
-    ema_slow = ema(closes, slow, mode=ema_mode)
+    ema_fast = ema(closes, fast)
+    ema_slow = ema(closes, slow)
     m = ema_fast - ema_slow
-    s = ema(m, signal_period, mode=ema_mode)
+    s = ema(m, signal_period)
     return IndicatorSeries(dates=prices.dates, ema12=ema_fast, ema26=ema_slow,
                            m=m, s=s, h=m - s)
 

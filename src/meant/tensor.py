@@ -14,7 +14,7 @@ keeps none of their intermediates:
 
 - ``attention``: softmax(q k^T * scale, masked keys excluded) @ v, which
   keeps only the probabilities;
-- ``layer_norm``: standard or rms normalization plus the affine gain/bias;
+- ``layer_norm``: centered normalization plus the affine gain/bias;
 - ``rotate_pairs``: the rotation behind rotary, axial 2-D rotary and xPos
   (whose scale is folded into the cos/sin tables).
 
@@ -368,13 +368,12 @@ def gelu(x: Tensor) -> Tensor:
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               mode: str = "standard") -> Tensor:
-    """Normalize over the last axis, then apply the affine gain/bias.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Center and scale by the standard deviation over the last axis, then
+    apply the affine gain/bias.
 
-    ``standard`` centers and scales by the standard deviation; ``rms``
-    divides by the root mean square only. One graph node: backward keeps
-    the normalized input and the per-row scale.
+    One graph node: backward keeps the normalized input and the per-row
+    scale.
     """
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
@@ -383,19 +382,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         raise DimensionError(
             f"affine params of length {gain.shape[-1]}/{bias.shape[-1]} "
             f"do not match last extent {d}")
-    if mode not in ("standard", "rms"):
-        raise ContractError(f"unknown norm mode {mode!r}")
 
     def row_mean(a, b):
         return np.einsum("...i,...i->...", a, b)[..., None] / d
 
-    if mode == "standard":
-        normed = x.data - x.data.mean(axis=-1, keepdims=True)
-        std = np.sqrt(row_mean(normed, normed) + LAYER_NORM_EPS)
-        normed /= std
-    else:
-        std = np.sqrt(row_mean(x.data, x.data) + LAYER_NORM_EPS)
-        normed = x.data / std
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt(row_mean(normed, normed) + LAYER_NORM_EPS)
+    normed /= std
     out_data = normed * gain.data
     out_data += bias.data
 
@@ -405,8 +398,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
             gn = g * gain.data
             dx = normed * row_mean(gn, normed)
             np.subtract(gn, dx, out=dx)
-            if mode == "standard":
-                dx -= gn.mean(axis=-1, keepdims=True)
+            dx -= gn.mean(axis=-1, keepdims=True)
             dx /= std
             x._accumulate(dx)
         if gain.requires_grad:

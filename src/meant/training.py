@@ -204,6 +204,17 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("patience", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ContractError(f"{name} must be an integer >= {low}, "
+                                    f"got {value!r}")
+        for name in ("lr", "eta_min", "t0", "t_mult", "weight_decay"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ContractError(f"{name} must be a finite number, "
+                                    f"got {value!r}")
         if self.schedule_unit not in ("epoch", "step"):
             raise ContractError(f"unknown schedule unit {self.schedule_unit!r}")
 

@@ -189,8 +189,6 @@ def test_criterion_6_gradient_suite():
         "gelu": lambda t: gelu(t).sum() + 3.0 * t.sum(),
         "layer_norm": lambda t: layer_norm(t.reshape(1, 6), gain,
                                            bias).sum() + 2.0 * t.sum(),
-        "rms_norm": lambda t: layer_norm(t.reshape(1, 6), gain, bias,
-                                         mode="rms").sum() + 2.0 * t.sum(),
         "exp_log_sqrt": lambda t: ((t * t + 1.0).sqrt().log().exp()).sum(),
         "mean_sub_div": lambda t: (t.mean() - (t / 3.0).sum()).reshape(),
     }
@@ -223,10 +221,11 @@ def test_criterion_6_gradient_suite():
 
 def test_criterion_7_temporal_attention_properties():
     rng = np.random.default_rng(7)
-    qta = QueryTargetAttention(rng, 8, use_ffn=False)
+    qta = QueryTargetAttention(rng, 8)
     x = Tensor(rng.normal(size=(2, 1, 8)))
     single = qta(x)
-    want = qta.wo(qta.wv(x)).data.reshape(2, 8) + x.data[:, 0, :]
+    h = qta.wo(qta.wv(x)) + x
+    want = (h + qta.ffn(qta.ffn_norm(h))).data.reshape(2, 8)
     ok = np.max(np.abs(single.data - want)) < 1e-12
 
     y = rng.normal(size=(1, 5, 8))
@@ -245,7 +244,6 @@ def test_criterion_8_pooling_dichotomy():
     s, d = 6, 8
     proj = SequenceProjection(rng, s, d, "p")
     proj.weight.data[:] = 1.0 / s
-    proj.bias.data[:] = 0.0
     x = rng.normal(size=(2, 3, s, d))
     via_proj = proj(Tensor(x)).data
     via_mean = gelu(layer_norm(mean_pool(Tensor(x)), proj.norm.gain,
@@ -255,9 +253,9 @@ def test_criterion_8_pooling_dichotomy():
     s_toy, d_toy = 4, 8  # conftest toy dims
     delta = (toy_model(pooling="seq_proj").parameter_count()
              - toy_model(pooling="mean_pool").parameter_count())
-    ok = ok and delta == s_toy + 1 + 2 * d_toy
+    ok = ok and delta == s_toy + 2 * d_toy
     _verdict(8, "uniform learned pooling equals mean pooling; "
-             f"parameter delta {delta} = s+1+2d", ok)
+             f"parameter delta {delta} = s+2d", ok)
 
 
 def _overfit_problem(n=64, seed=9, use_image=True):

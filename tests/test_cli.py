@@ -164,12 +164,21 @@ class TestTrain:
 
     def test_bad_config_exits_one(self, workspace, tmp_path):
         # an unknown key, and one retired from ModelConfig
-        for key in ("wings", "use_pad_mask"):
+        for key in ("wings", "use_pad_mask", "norm_mode"):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES, key: 2}}))
             rc = main(["train", "--config", str(bad),
                        "--data", str(workspace["data"]), "--out", str(tmp_path)])
             assert rc == 1
+
+    def test_bad_train_values_exit_one(self, workspace, tmp_path, capsys):
+        for train in ({"batch_size": 0}, {"batch_size": -2}, {"epochs": "2"}):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"model": MODEL_OVERRIDES, "train": train}))
+            rc = main(["train", "--config", str(bad),
+                       "--data", str(workspace["data"]), "--out", str(tmp_path)])
+            assert rc == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_config_naming_data_section_exits_one(self, workspace, tmp_path,
                                                   capsys):
@@ -399,7 +408,8 @@ class TestRunConfig:
             RunConfig.from_dict({"train": {"momentum": 1}})
 
     def test_unknown_model_key(self):
-        for key in ("dropout", "use_pad_mask", "temporal_ffn"):
+        for key in ("dropout", "use_pad_mask", "temporal_ffn", "axial_literal",
+                    "norm_mode", "temporal_pos"):
             with pytest.raises(ConfigError, match=key):
                 RunConfig.from_dict({"model": {key: 1}})
 

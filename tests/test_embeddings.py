@@ -198,26 +198,6 @@ class TestAxialRotary:
 
         assert abs(score(2, 5, 1, 3) - score(7, 6, 6, 4)) < 1e-9
 
-    def test_literal_mode_degenerates_on_integer_grid(self):
-        # literal per-pair angles are i * floor(d/2) * pi; at d=8 every
-        # integer position lands on an even multiple of pi, so the
-        # rotation collapses to the identity while the default does not
-        q = Tensor(rand((3, 8)))
-        rows, cols = np.arange(3.0), np.arange(3.0)
-        lit, _ = apply_axial_rotary_2d(q, q, rows, cols, literal=True)
-        assert np.max(np.abs(lit.data - q.data)) < 1e-9
-        default, _ = apply_axial_rotary_2d(q, q, rows, cols)
-        assert not np.allclose(default.data, q.data)
-
-    def test_literal_mode_half_positions_flip_sign(self):
-        # at position 0.5 the odd pairs rotate by odd multiples of pi,
-        # which is an exact sign flip of both coordinates in the pair
-        q = Tensor(rand((1, 8)))
-        lit, _ = apply_axial_rotary_2d(q, q, np.array([0.5]),
-                                       np.array([0.5]), literal=True)
-        signs = lit.data / q.data
-        assert np.allclose(np.abs(signs), 1.0, atol=1e-9)
-
     def test_dim_not_multiple_of_four(self):
         q = Tensor(rand((2, 6)))
         with pytest.raises(DimensionError):

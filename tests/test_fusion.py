@@ -53,13 +53,11 @@ class TestMeanPool:
 
 class TestSequenceProjection:
     def test_uniform_weights_match_gelu_norm_mean(self):
-        # with weight 1/s and zero bias the projection is exactly
-        # GELU(LN(mean over tokens))
+        # with weight 1/s the projection is exactly GELU(LN(mean over tokens))
         from meant.tensor import gelu, layer_norm
         s, d = 6, 8
         proj = SequenceProjection(rng_(4), s, d, "p")
         proj.weight.data[:] = 1.0 / s
-        proj.bias.data[:] = 0.0
         x = rng_(5).normal(size=(2, 3, s, d))
         out = proj(Tensor(x)).data
         want = gelu(layer_norm(Tensor(x.mean(axis=2)), proj.norm.gain,
@@ -68,11 +66,11 @@ class TestSequenceProjection:
 
     def test_parameter_delta_vs_mean_pool(self):
         # swapping mean pooling for the learned reduction adds the s
-        # projection weights, its scalar bias, and the norm's gain+bias
+        # projection weights and the norm's gain+bias
         s, d = TOY_MODEL["seq_len"], TOY_MODEL["d_l"]
         a = toy_model(pooling="mean_pool").parameter_count()
         b = toy_model(pooling="seq_proj").parameter_count()
-        assert b - a == s + 1 + 2 * d
+        assert b - a == s + 2 * d
 
     def test_wrong_sequence_length(self):
         proj = SequenceProjection(rng_(6), 6, 8, "p")
@@ -105,10 +103,11 @@ class TestFusePrice:
 class TestQueryTargetAttention:
     def test_single_day_is_exact(self):
         # with lag 1, softmax over one key is exactly 1
-        qta = QueryTargetAttention(rng_(12), 8, use_ffn=False)
+        qta = QueryTargetAttention(rng_(12), 8)
         x = Tensor(rng_(13).normal(size=(2, 1, 8)))
         out = qta(x)
-        want = qta.wo(qta.wv(x)).data.reshape(2, 8) + x.data[:, 0, :]
+        h = qta.wo(qta.wv(x)) + x
+        want = (h + qta.ffn(qta.ffn_norm(h))).data.reshape(2, 8)
         assert np.max(np.abs(out.data - want)) < 1e-12
 
     def test_weights_sum_to_one(self):
@@ -121,56 +120,34 @@ class TestQueryTargetAttention:
     def test_history_permutation_changes_only_weights(self):
         # without positional encoding, permuting the non-target days
         # leaves the output unchanged (keys/values are a set)
-        qta = QueryTargetAttention(rng_(16), 8, use_ffn=False)
+        qta = QueryTargetAttention(rng_(16), 8)
         x = rng_(17).normal(size=(1, 5, 8))
         perm = np.array([3, 1, 0, 2, 4])   # target day stays last
         out = qta(Tensor(x)).data
         out_p = qta(Tensor(x[:, perm, :])).data
         assert np.max(np.abs(out - out_p)) < 1e-10
 
-    def test_rotary_breaks_permutation_invariance(self):
-        qta = QueryTargetAttention(rng_(18), 8, pos_encoding="rotary",
-                                   use_ffn=False)
-        x = rng_(19).normal(size=(1, 5, 8))
-        perm = np.array([3, 1, 0, 2, 4])
-        out = qta(Tensor(x)).data
-        out_p = qta(Tensor(x[:, perm, :])).data
-        assert not np.allclose(out, out_p)
-
     def test_weights_are_the_ones_the_forward_uses(self):
-        # rotary positions included: the output is wo(weights @ values)
-        qta = QueryTargetAttention(rng_(30), 8, heads=2, pos_encoding="rotary",
-                                   residual=False, use_ffn=False)
+        # the output is wo(weights @ values) plus the target day, then the
+        # FFN sub-layer
+        qta = QueryTargetAttention(rng_(30), 8, heads=2)
         fused = Tensor(rng_(31).normal(size=(2, 4, 8)))
         w = qta.attention_weights(fused)
         v = qta._split(qta.wv(fused)).data
         mixed = (w @ v).transpose(0, 2, 1, 3).reshape(2, 1, 8)
-        want = qta.wo(Tensor(mixed)).data.reshape(2, 8)
+        h = qta.wo(Tensor(mixed)) + fused[:, 3:4, :]
+        want = (h + qta.ffn(qta.ffn_norm(h))).data.reshape(2, 8)
         assert np.max(np.abs(qta(fused).data - want)) < 1e-12
 
     def test_query_gradient_locality(self):
-        # the query path only sees the last lag day: with values and the
-        # residual cut off, upstream gradient reaches wq from day l-1 only
-        qta = QueryTargetAttention(rng_(20), 8, residual=False, use_ffn=False)
+        # the query path only sees the last lag day: upstream gradient
+        # reaches wq from day l-1 only
+        qta = QueryTargetAttention(rng_(20), 8)
         x = Tensor(rng_(21).normal(size=(1, 4, 8)), requires_grad=True)
         target = qta.wq(x[:, 3:4, :])
         target.sum().backward()
         assert np.all(x.grad[0, :3] == 0.0)
         assert np.any(x.grad[0, 3] != 0.0)
-
-    def test_residual_toggle(self):
-        x = Tensor(rng_(22).normal(size=(2, 3, 8)))
-        with_res = QueryTargetAttention(rng_(23), 8, use_ffn=False)
-        without = QueryTargetAttention(rng_(23), 8, residual=False,
-                                       use_ffn=False)
-        delta = with_res(x).data - without(x).data
-        assert np.max(np.abs(delta - x.data[:, 2, :])) < 1e-12
-
-    def test_ffn_toggle_changes_param_set(self):
-        base = QueryTargetAttention(rng_(24), 8, use_ffn=False).params()
-        with_ffn = QueryTargetAttention(rng_(24), 8, use_ffn=True).params()
-        assert set(base) < set(with_ffn)
-        assert any("ffn" in k for k in with_ffn)
 
     def test_indivisible_heads(self):
         with pytest.raises(DimensionError):

@@ -56,10 +56,6 @@ class TestEma:
         with pytest.raises(NumericError):
             ema([1.0, np.inf], 5)
 
-    def test_literal_mode_differs(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert not np.allclose(ema(values, 12), ema(values, 12, mode="literal"))
-
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50),
            st.floats(-10, 10), st.integers(1, 20))
     @settings(max_examples=50, deadline=None)

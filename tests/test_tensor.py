@@ -92,12 +92,6 @@ class TestLayerNorm:
         out = layer_norm(Tensor([1.0, -1.0]), g, b)
         assert np.allclose(out.data, [1.0, -1.0], atol=1e-5)
 
-    def test_hand_rms(self):
-        g, b = self.gain_bias(2)
-        out = layer_norm(Tensor([3.0, 4.0]), g, b, mode="rms")
-        expected = np.array([3.0, 4.0]) / math.sqrt(12.5)
-        assert np.allclose(out.data, expected, atol=1e-5)
-
     @given(arrays(np.float64, (4, 6), elements=st.floats(-50, 50)))
     @settings(max_examples=50, deadline=None)
     def test_standardization_property(self, x):
@@ -199,8 +193,6 @@ class TestGradCheck:
             lambda t: gelu(t).sum() + 3.0 * t.sum(),
             lambda t: (softmax_last_dim(t) * 0.5).sum() + 2.0 * t.sum(),
             lambda t: layer_norm(t.reshape(1, 6), gain, bias).sum() + 2.0 * t.sum(),
-            lambda t: layer_norm(t.reshape(1, 6), gain, bias,
-                                 mode="rms").sum() + 2.0 * t.sum(),
             lambda t: matmul(t.reshape(2, 3), t.reshape(3, 2)).sum(),
         ]
         worst = 0.0
@@ -283,21 +275,19 @@ class TestAttention:
 
 
 class TestFusedLayerNorm:
-    @pytest.mark.parametrize("mode", ["standard", "rms"])
-    def test_matches_unfused_ops(self, mode):
+    def test_matches_unfused_ops(self):
         x, gain, bias = rand(3, 6), rand(6, seed=1), rand(6, seed=2)
-        centered = x.data - x.data.mean(-1, keepdims=True) if mode == "standard" else x.data
+        centered = x.data - x.data.mean(-1, keepdims=True)
         scale = np.sqrt((centered ** 2).mean(-1, keepdims=True) + 1e-5)
         want = centered / scale * gain.data + bias.data
-        out = layer_norm(x, gain, bias, mode).data
+        out = layer_norm(x, gain, bias).data
         assert np.max(np.abs(out - want)) < 1e-12
 
-    @pytest.mark.parametrize("mode", ["standard", "rms"])
-    def test_grad_check_with_gain_and_bias(self, mode):
+    def test_grad_check_with_gain_and_bias(self):
         probe = rand(2, 3, 6, seed=3)
 
         def f(x, gain, bias):
-            return (layer_norm(x, gain, bias, mode) * probe).sum()
+            return (layer_norm(x, gain, bias) * probe).sum()
 
         err = grad_check(f, rand(2, 3, 6), rand(6, seed=1, loc=1.0),
                          rand(6, seed=2))

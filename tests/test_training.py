@@ -270,6 +270,14 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             TrainConfig(schedule_unit="batch")
 
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", 0), ("batch_size", -2), ("patience", 0), ("seed", -1),
+        ("epochs", 2.0), ("batch_size", True), ("lr", float("nan")),
+        ("t0", float("inf")), ("weight_decay", "0.01")])
+    def test_bad_values_rejected(self, name, value):
+        with pytest.raises(ContractError, match=name):
+            TrainConfig(**{name: value})
+
     def test_disabled_modalities_are_never_batched(self):
         # the model reads no images, so an array that cannot be indexed
         # must not reach batching in train or evaluate
