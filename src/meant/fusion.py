@@ -47,6 +47,25 @@ class ModelConfig:
     pad_id: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "seq_len", "lag", "d_l", "d_p", "lang_depth",
+                     "vision_depth", "heads", "temporal_heads", "mlp_ratio",
+                     "image_height", "image_width", "channels", "patch_size"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ContractError(f"{name} must be an integer >= 1, "
+                                    f"got {value!r}")
+        pad = self.pad_id
+        if type(pad) is not int or not 0 <= pad < self.vocab_size:
+            raise ContractError(f"pad_id must be an integer in "
+                                f"0..{self.vocab_size - 1}, got {pad!r}")
+        for name in ("use_text", "use_image", "use_price"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ContractError(f"{name} must be true or false, "
+                                    f"got {value!r}")
+        if self.lang_pos not in ("xpos", "rotary", "none"):
+            raise ContractError(f"lang_pos must be xpos, rotary or none, "
+                                f"got {self.lang_pos!r}")
         if not (self.use_text or self.use_image or self.use_price):
             raise ContractError("at least one modality must be enabled")
         if self.pooling not in ("mean_pool", "seq_proj"):

@@ -20,10 +20,24 @@ keeps none of their intermediates:
 
 Everything is double precision on purpose -- this stack exists to be
 checked against finite differences.
+
+A train step allocates and frees the same multi-MiB temporaries (attention
+probabilities, FFN activations, gradients) every time. By default glibc
+hands such blocks back to the OS -- it unmaps blocks above its mmap
+threshold and trims the top of the heap -- so the next step faults the same
+pages back in, zero-filled, and spends a fifth of its time in the kernel
+doing so (text_s128 and vision_224 of perfbench, 2 cores). At import
+the allocator is therefore told to keep freed memory: blocks up to 32 MiB
+(glibc's own ceiling for its dynamic mmap threshold on 64-bit) come from the
+heap, and the heap is never trimmed. Both settings are needed, since fixing
+the trim threshold also turns off the dynamic mmap threshold. The heap then
+stays at its high-water mark until the process exits; no arithmetic changes.
+On a libc without ``mallopt`` (not glibc) this is a no-op.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -37,6 +51,23 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _grad_enabled = True
+
+_M_TRIM_THRESHOLD = -1    # glibc <malloc.h> parameter numbers
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed blocks in the heap for the next step (module docstring)."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+
+
+_keep_freed_memory()
 
 
 @contextmanager

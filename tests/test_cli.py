@@ -162,14 +162,16 @@ class TestTrain:
         assert again.train.epochs == 2
         assert again.model["d_l"] == 8
 
-    def test_bad_config_exits_one(self, workspace, tmp_path):
-        # an unknown key, and one retired from ModelConfig
-        for key in ("wings", "use_pad_mask", "norm_mode"):
+    def test_bad_config_exits_one(self, workspace, tmp_path, capsys):
+        # an unknown key, one retired from ModelConfig, and bad values
+        for model in ({"wings": 2}, {"use_pad_mask": 2}, {"norm_mode": 2},
+                      {"heads": 0}, {"d_l": "8"}):
             bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES, key: 2}}))
+            bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES, **model}}))
             rc = main(["train", "--config", str(bad),
                        "--data", str(workspace["data"]), "--out", str(tmp_path)])
             assert rc == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_bad_train_values_exit_one(self, workspace, tmp_path, capsys):
         for train in ({"batch_size": 0}, {"batch_size": -2}, {"epochs": "2"}):

@@ -38,6 +38,15 @@ class TestModelConfig:
         with pytest.raises(ContractError):
             ModelConfig(pooling="max_pool")
 
+    @pytest.mark.parametrize("bad", [
+        {"heads": 0}, {"temporal_heads": 0}, {"d_l": "8"}, {"lag": 0},
+        {"mlp_ratio": 0}, {"seq_len": -1}, {"vocab_size": True},
+        {"patch_size": 4.0}, {"pad_id": 12}, {"pad_id": -1},
+        {"pad_id": None}, {"use_text": 1}, {"lang_pos": "bogus"}])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(ContractError, match=next(iter(bad))):
+            ModelConfig(**{**TOY_MODEL, **bad})
+
 
 class TestMeanPool:
     def test_matches_loop_oracle(self):

@@ -1,4 +1,6 @@
+import ctypes
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meant.errors import ContractError, DimensionError, NumericError
+from meant.fusion import MeantModel, ModelConfig
 from meant.tensor import (Tensor, attention, gelu, grad_check, layer_norm,
                           matmul, no_grad, rotate_pairs, softmax_last_dim)
+from meant.training import cross_entropy
 
 
 def naive_matmul(a, b):
@@ -370,6 +374,29 @@ class TestGraphLifetime:
         first.backward()
         with pytest.raises(ContractError, match="freed"):
             second.backward()
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="the allocator policy needs glibc's mallopt")
+    def test_steady_state_steps_do_not_fault_memory_back_in(self):
+        cfg = ModelConfig(vocab_size=64, seq_len=128, use_image=False)
+        model = MeantModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, cfg.vocab_size, size=(8, cfg.lag, cfg.seq_len))
+        macd = rng.normal(size=(8, cfg.lag, 5))
+        labels = rng.integers(0, 2, size=8)
+
+        def step():
+            model.zero_grad()
+            cross_entropy(model(ids, macd, None), labels).backward()
+
+        for _ in range(3):
+            step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # ~25k when freed temporaries go back to the OS after each step
+        assert faults < 1000
 
 
 def test_grad_check_covers_every_input():
