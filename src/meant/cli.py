@@ -94,18 +94,31 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
+# the ModelConfig fields the dataset fixes; a run config may not set them
+DATASET_FIELDS = ("vocab_size", "seq_len", "pad_id", "channels",
+                  "image_height", "image_width")
+
+
+def _dataset_fields(manifest: dict) -> dict:
+    """The ``DATASET_FIELDS`` values a dataset's manifest records (the
+    image ones only if it holds a window)."""
+    tok = TokenizerSpec.from_dict(manifest["tokenizer"])
+    fields = {"vocab_size": tok.vocab_size, "seq_len": manifest["seq_len"],
+              "pad_id": tok.pad_id}
+    if manifest["image_shape"]:
+        fields["channels"], fields["image_height"], fields["image_width"] = \
+            manifest["image_shape"]
+    return fields
+
+
 def _model_config(run: RunConfig, manifest: dict) -> ModelConfig:
-    overrides = dict(run.model)
-    tok = manifest.get("tokenizer")
-    derived = {"seq_len": manifest["seq_len"], "lag": manifest["lag"]}
-    if tok is not None:
-        derived["vocab_size"] = TokenizerSpec.from_dict(tok).vocab_size
-        derived["pad_id"] = tok["pad_id"]
-    shape = manifest.get("image_shape")
-    if shape:
-        derived["channels"], derived["image_height"], derived["image_width"] = shape
-    derived.update(overrides)
-    return ModelConfig.from_dict(derived)
+    """The run config's model section over the dataset's lag and fields."""
+    named = sorted(set(run.model) & set(DATASET_FIELDS))
+    if named:
+        raise ConfigError(f"model keys {named} are set by the dataset; "
+                          f"remove them from the run config")
+    return ModelConfig.from_dict({"lag": manifest["lag"],
+                                  **_dataset_fields(manifest), **run.model})
 
 
 SPLITS = ("train", "val", "test")
@@ -149,7 +162,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = restore_model(args.checkpoint)
-    _, (data,) = _split_arrays(args.data, [args.split])
+    manifest, (data,) = _split_arrays(args.data, [args.split])
+    trained = model.config.to_dict()
+    differ = [f"{k} {trained[k]} != {v}"
+              for k, v in _dataset_fields(manifest).items() if trained[k] != v]
+    if differ:
+        raise ContractError(f"checkpoint does not fit the dataset "
+                            f"(checkpoint != dataset): {', '.join(differ)}")
     report = evaluate(model, truncate_lag(data, model.config.lag))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

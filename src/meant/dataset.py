@@ -281,32 +281,28 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def save_dataset(windows: list[LagWindow], out_dir,
-                 tokenizer: TokenizerSpec | None = None,
+def save_dataset(windows: list[LagWindow], out_dir, tokenizer: TokenizerSpec,
                  split: dict = DEFAULT_SPLIT) -> None:
     """Write manifest.json, windows.jsonl and per-day graph blobs. The
-    manifest records ``split``; the MACD normalization is fitted on its
-    training part, which must not be empty unless ``windows`` is."""
+    manifest records ``split`` and the ``tokenizer`` the windows' ids come
+    from; the MACD normalization is fitted on the split's training part,
+    which must not be empty unless ``windows`` is."""
     train = split_windows(windows, split)[0] if windows else []
     out = Path(out_dir)
     (out / "graphs").mkdir(parents=True, exist_ok=True)
 
-    image_shape = list(windows[0].G[0].shape) if windows else None
-    seq_len = len(windows[0].X[0]) if windows else (
-        tokenizer.max_len if tokenizer else None)
     manifest = {
         "version": DATASET_VERSION,
         "lag": windows[0].lag if windows else None,
-        "seq_len": seq_len,
-        "image_shape": image_shape,
+        "seq_len": tokenizer.max_len,
+        "image_shape": list(windows[0].G[0].shape) if windows else None,
         "normalization": _normalization_stats(train),
         "split": split,
         "label_counts": {str(k): sum(1 for w in windows if w.label == k)
                          for k in (0, 1)},
         "count": len(windows),
+        "tokenizer": tokenizer.to_dict(),
     }
-    if tokenizer is not None:
-        manifest["tokenizer"] = tokenizer.to_dict()
     (out / "manifest.json").write_bytes(_json_bytes(manifest) + b"\n")
 
     lines = []
@@ -330,21 +326,39 @@ def save_dataset(windows: list[LagWindow], out_dir,
 
 def _check_manifest(manifest) -> None:
     """The manifest is an object of this version, with object-valued
-    ``split`` and ``normalization`` (a ``mean`` and a ``std`` list) and an
-    integer ``count``."""
+    ``split`` and ``normalization`` (a ``mean`` and a ``std`` list), an
+    integer ``count`` and ``seq_len``, an integer ``lag`` (null when there
+    is no window), ``image_shape`` null or three positive integers, and a
+    ``tokenizer`` object whose ``vocab`` maps words to integer ids. Types
+    only: the values are checked where they are used."""
     if not isinstance(manifest, dict):
         raise DatasetFormatError("manifest.json: not a JSON object")
     if manifest.get("version") != DATASET_VERSION:
         raise DatasetFormatError(
             f"dataset version {manifest.get('version')} != {DATASET_VERSION}")
-    for key, kind in (("split", dict), ("normalization", dict), ("count", int)):
+    for key, kind in (("split", dict), ("normalization", dict), ("count", int),
+                      ("seq_len", int), ("lag", (int, type(None))),
+                      ("image_shape", (list, type(None))), ("tokenizer", dict)):
         if not isinstance(manifest.get(key), kind):
-            raise DatasetFormatError(
-                f"manifest.json: {key!r} missing or not a {kind.__name__}")
+            raise DatasetFormatError(f"manifest.json: {key!r} missing or "
+                                     f"of the wrong type")
     norm = manifest["normalization"]
     if not all(isinstance(norm.get(k), list) for k in ("mean", "std")):
         raise DatasetFormatError(
             "manifest.json: 'normalization' needs 'mean' and 'std' lists")
+    shape = manifest["image_shape"]
+    if shape is not None and not (len(shape) == 3 and all(
+            type(n) is int and n > 0 for n in shape)):
+        raise DatasetFormatError(
+            "manifest.json: 'image_shape' must be three positive integers")
+    tok = manifest["tokenizer"]
+    vocab = tok.get("vocab")
+    if not (isinstance(vocab, dict)
+            and all(type(tok.get(k)) is int
+                    for k in ("pad_id", "unk_id", "sep_id", "max_len"))
+            and all(type(i) is int for i in vocab.values())):
+        raise DatasetFormatError("manifest.json: 'tokenizer' needs a 'vocab' "
+                                 "object and integer ids")
 
 
 def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:

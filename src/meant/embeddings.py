@@ -7,8 +7,6 @@ folded in) are constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
@@ -21,31 +19,14 @@ XPOS_GAMMA = 0.4
 XPOS_SCALE_BASE = 512.0
 
 
-@dataclass(frozen=True)
-class PatchSpec:
-    patch_size: int = 16
-    channels: int = 3
-    dim: int = 768
-
-    def patch_count(self, height: int, width: int) -> int:
-        if height % self.patch_size or width % self.patch_size:
-            raise DimensionError(
-                f"image {height}x{width} not divisible by patch {self.patch_size}")
-        return (height // self.patch_size) * (width // self.patch_size)
-
-    @property
-    def flat_size(self) -> int:
-        return self.channels * self.patch_size * self.patch_size
-
-
 def token_embed(ids: np.ndarray, table: Tensor) -> Tensor:
     """Row lookup producing a trailing embedding axis."""
     return embedding_lookup(table, np.asarray(ids, dtype=np.int64))
 
 
-def extract_patches(images: np.ndarray, spec: PatchSpec) -> np.ndarray:
+def extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
     """(..., c, H, W) -> (..., n_p, c*P*P), channel-major within a patch."""
-    p = spec.patch_size
+    p = patch_size
     *lead, c, h, w = images.shape
     if h % p or w % p:
         raise DimensionError(f"image {h}x{w} not divisible by patch {p}")
@@ -57,9 +38,9 @@ def extract_patches(images: np.ndarray, spec: PatchSpec) -> np.ndarray:
 
 
 def patch_embed(images: np.ndarray, weight: Tensor, bias: Tensor,
-                spec: PatchSpec) -> Tensor:
+                patch_size: int) -> Tensor:
     """Linear projection of non-overlapping patches into token vectors."""
-    flat = extract_patches(np.asarray(images, dtype=np.float64), spec)
+    flat = extract_patches(np.asarray(images, dtype=np.float64), patch_size)
     if weight.shape[0] != flat.shape[-1]:
         raise DimensionError(
             f"patch weight rows {weight.shape[0]} != flat patch {flat.shape[-1]}")

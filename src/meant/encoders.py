@@ -3,38 +3,26 @@
 The language stack is an interleaved-layernorm transformer encoder run
 independently per lag day; the vision stack alternates temporal attention
 (same patch across frames) and spatial attention (patches within a frame)
-before a feed-forward sub-layer.
+before a feed-forward sub-layer. Each pipeline reads its sizes from the
+model's ``ModelConfig``; a block takes its width, head count and FFN ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embeddings import (PatchSpec, apply_axial_rotary_2d, apply_rotary,
-                         apply_xpos, patch_embed, token_embed)
-from .errors import ContractError, DimensionError
+from .embeddings import (apply_axial_rotary_2d, apply_rotary, apply_xpos,
+                         patch_embed, token_embed)
+from .errors import DimensionError
 from .tensor import Tensor, attention, gelu, layer_norm, matmul
 
+if TYPE_CHECKING:
+    from .fusion import ModelConfig
+
 INIT_STD = 0.02
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    depth: int = 1
-    dim: int = 32
-    heads: int = 2
-    mlp_ratio: int = 4
-    pos_encoding: str = "xpos"   # language: {xpos, rotary, none}
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ContractError("depth must be >= 1")
-        if self.dim % self.heads:
-            raise DimensionError(
-                f"dim {self.dim} not divisible by heads {self.heads}")
 
 
 class Linear:
@@ -156,14 +144,12 @@ class FeedForward:
 class LanguageEncoderBlock:
     """Pre-norm attention and FFN sub-layers with residuals."""
 
-    def __init__(self, rng, cfg: EncoderConfig, name: str, out_scale: float):
-        self.cfg = cfg
-        self.norm1 = LayerNorm(cfg.dim, f"{name}.norm1")
-        self.attn = MultiHeadAttention(rng, cfg.dim, cfg.heads,
-                                       f"{name}.attn", out_scale)
-        self.norm2 = LayerNorm(cfg.dim, f"{name}.norm2")
-        self.ffn = FeedForward(rng, cfg.dim, cfg.mlp_ratio, f"{name}.ffn",
-                               out_scale)
+    def __init__(self, rng, dim: int, heads: int, mlp_ratio: int, name: str,
+                 out_scale: float):
+        self.norm1 = LayerNorm(dim, f"{name}.norm1")
+        self.attn = MultiHeadAttention(rng, dim, heads, f"{name}.attn", out_scale)
+        self.norm2 = LayerNorm(dim, f"{name}.norm2")
+        self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn", out_scale)
 
     def __call__(self, x: Tensor, mask=None, rope=None) -> Tensor:
         x = x + self.attn(self.norm1(x), mask=mask, rope=rope)
@@ -176,17 +162,16 @@ class LanguageEncoderBlock:
 class DividedSpaceTimeBlock:
     """Temporal attention across frames, spatial within a frame, then FFN."""
 
-    def __init__(self, rng, cfg: EncoderConfig, name: str, out_scale: float):
-        self.cfg = cfg
-        self.norm_t = LayerNorm(cfg.dim, f"{name}.norm_t")
-        self.attn_t = MultiHeadAttention(rng, cfg.dim, cfg.heads,
-                                         f"{name}.attn_t", out_scale)
-        self.norm_s = LayerNorm(cfg.dim, f"{name}.norm_s")
-        self.attn_s = MultiHeadAttention(rng, cfg.dim, cfg.heads,
-                                         f"{name}.attn_s", out_scale)
-        self.norm_f = LayerNorm(cfg.dim, f"{name}.norm_f")
-        self.ffn = FeedForward(rng, cfg.dim, cfg.mlp_ratio, f"{name}.ffn",
-                               out_scale)
+    def __init__(self, rng, dim: int, heads: int, mlp_ratio: int, name: str,
+                 out_scale: float):
+        self.norm_t = LayerNorm(dim, f"{name}.norm_t")
+        self.attn_t = MultiHeadAttention(rng, dim, heads, f"{name}.attn_t",
+                                         out_scale)
+        self.norm_s = LayerNorm(dim, f"{name}.norm_s")
+        self.attn_s = MultiHeadAttention(rng, dim, heads, f"{name}.attn_s",
+                                         out_scale)
+        self.norm_f = LayerNorm(dim, f"{name}.norm_f")
+        self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn", out_scale)
 
     def __call__(self, x: Tensor, grid: tuple[int, int]) -> Tensor:
         b, l, n_p, d = x.shape
@@ -202,7 +187,7 @@ class DividedSpaceTimeBlock:
 
         idx = np.arange(n_p)
         rows, cols = idx // gw, idx % gw
-        if d // self.cfg.heads % 4 == 0:
+        if self.attn_s.head_dim % 4 == 0:
             rope_s = (lambda q, k: apply_axial_rotary_2d(q, k, rows, cols))
         else:
             rope_s = None
@@ -217,39 +202,41 @@ class DividedSpaceTimeBlock:
 
 
 class LanguagePipeline:
-    """Token embedding plus per-lag-day encoder blocks -> L_out."""
+    """Token embedding plus per-lag-day encoder blocks -> L_out:
+    ``lang_depth`` blocks of width ``d_l``, with ``lang_pos`` as the
+    positional encoding and ``pad_id`` tokens masked as keys."""
 
-    def __init__(self, rng, vocab_size: int, cfg: EncoderConfig,
-                 pad_id: int = 0):
-        self.cfg = cfg
-        self.pad_id = pad_id
-        self.table = Tensor(rng.normal(0.0, INIT_STD, size=(vocab_size, cfg.dim)),
+    def __init__(self, rng, config: ModelConfig):
+        self.config = config
+        self.table = Tensor(rng.normal(0.0, INIT_STD,
+                                       size=(config.vocab_size, config.d_l)),
                             requires_grad=True)
-        out_scale = 1.0 / math.sqrt(2.0 * cfg.depth)
-        self.blocks = [LanguageEncoderBlock(rng, cfg, f"lang.block{i}", out_scale)
-                       for i in range(cfg.depth)]
+        out_scale = 1.0 / math.sqrt(2.0 * config.lang_depth)
+        self.blocks = [LanguageEncoderBlock(rng, config.d_l, config.heads,
+                                            config.mlp_ratio, f"lang.block{i}",
+                                            out_scale)
+                       for i in range(config.lang_depth)]
 
     def __call__(self, ids: np.ndarray) -> Tensor:
+        c = self.config
         ids = np.asarray(ids, dtype=np.int64)
         b, l, s = ids.shape
-        x = token_embed(ids, self.table).reshape(b * l, s, self.cfg.dim)
-        mask = (ids != self.pad_id).reshape(b * l, s)
+        x = token_embed(ids, self.table).reshape(b * l, s, c.d_l)
+        mask = (ids != c.pad_id).reshape(b * l, s)
         # a fully padded day would starve attention; let PAD attend to
         # itself in that case
         dead = ~mask.any(axis=-1)
         mask[dead, 0] = True
         positions = np.arange(s)
-        if self.cfg.pos_encoding == "xpos":
+        if c.lang_pos == "xpos":
             rope = lambda q, k: apply_xpos(q, k, positions)
-        elif self.cfg.pos_encoding == "rotary":
+        elif c.lang_pos == "rotary":
             rope = lambda q, k: apply_rotary(q, k, positions)
-        elif self.cfg.pos_encoding == "none":
-            rope = None
         else:
-            raise ContractError(f"unknown pos encoding {self.cfg.pos_encoding!r}")
+            rope = None
         for block in self.blocks:
             x = block(x, mask=mask, rope=rope)
-        return x.reshape(b, l, s, self.cfg.dim)
+        return x.reshape(b, l, s, c.d_l)
 
     def params(self) -> dict[str, Tensor]:
         out = {"lang.embed.table": self.table}
@@ -259,33 +246,34 @@ class LanguagePipeline:
 
 
 class VisionPipeline:
-    """Patch embedding plus divided space-time blocks -> I_out."""
+    """Patch embedding plus divided space-time blocks -> I_out:
+    ``vision_depth`` blocks of width ``d_p`` over the ``patch_size`` patches
+    of each ``channels x image_height x image_width`` chart, whose sides
+    must be multiples of ``patch_size``."""
 
-    def __init__(self, rng, cfg: EncoderConfig, patch: PatchSpec,
-                 image_hw: tuple[int, int]):
-        if patch.dim != cfg.dim:
-            raise DimensionError(
-                f"patch dim {patch.dim} must equal encoder dim {cfg.dim}")
-        self.cfg = cfg
-        self.patch = patch
-        h, w = image_hw
-        self.grid = (h // patch.patch_size, w // patch.patch_size)
-        self.n_p = patch.patch_count(h, w)
+    def __init__(self, rng, config: ModelConfig):
+        self.config = config
+        p, h, w = config.patch_size, config.image_height, config.image_width
+        if h % p or w % p:
+            raise DimensionError(f"image {h}x{w} not divisible by patch {p}")
+        self.grid = (h // p, w // p)
+        self.n_p = self.grid[0] * self.grid[1]
         self.proj_w = Tensor(rng.normal(0.0, INIT_STD,
-                                        size=(patch.flat_size, cfg.dim)),
+                                        size=(config.channels * p * p, config.d_p)),
                              requires_grad=True)
-        self.proj_b = Tensor(np.zeros(cfg.dim), requires_grad=True)
-        out_scale = 1.0 / math.sqrt(2.0 * cfg.depth)
-        self.blocks = [DividedSpaceTimeBlock(rng, cfg, f"vision.block{i}",
-                                             out_scale)
-                       for i in range(cfg.depth)]
+        self.proj_b = Tensor(np.zeros(config.d_p), requires_grad=True)
+        out_scale = 1.0 / math.sqrt(2.0 * config.vision_depth)
+        self.blocks = [DividedSpaceTimeBlock(rng, config.d_p, config.heads,
+                                             config.mlp_ratio,
+                                             f"vision.block{i}", out_scale)
+                       for i in range(config.vision_depth)]
 
     def __call__(self, images: np.ndarray) -> Tensor:
         b, l = images.shape[:2]
-        x = patch_embed(images, self.proj_w, self.proj_b, self.patch)
+        x = patch_embed(images, self.proj_w, self.proj_b, self.config.patch_size)
         for block in self.blocks:
             x = block(x, self.grid)
-        return x.reshape(b, l * self.n_p, self.cfg.dim)
+        return x.reshape(b, l * self.n_p, self.config.d_p)
 
     def params(self) -> dict[str, Tensor]:
         out = {"vision.patch.weight": self.proj_w, "vision.patch.bias": self.proj_b}

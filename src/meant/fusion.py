@@ -12,10 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embeddings import PatchSpec
-from .encoders import (INIT_STD, EncoderConfig, FeedForward, LanguagePipeline,
-                       LayerNorm, Linear, MultiHeadAttention, VisionPipeline,
-                       _merge)
+from .encoders import (INIT_STD, FeedForward, LanguagePipeline, LayerNorm,
+                       Linear, MultiHeadAttention, VisionPipeline, _merge)
 from .errors import ContractError, DimensionError
 from .tensor import (Tensor, attention_weights, concat, embedding_lookup, gelu,
                      matmul)
@@ -75,11 +73,6 @@ class ModelConfig:
     def d_t(self) -> int:
         """Fused temporal width: language dim plus the 5 MACD lanes."""
         return self.d_l * self.use_text + MACD_WIDTH * self.use_price
-
-    @property
-    def patch_count(self) -> int:
-        spec = PatchSpec(self.patch_size, self.channels, self.d_p)
-        return spec.patch_count(self.image_height, self.image_width)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -203,22 +196,14 @@ class MeantModel:
         self.language = None
         self.pool = None
         if c.use_text:
-            lang_cfg = EncoderConfig(depth=c.lang_depth, dim=c.d_l,
-                                     heads=c.heads, mlp_ratio=c.mlp_ratio,
-                                     pos_encoding=c.lang_pos)
-            self.language = LanguagePipeline(rng, c.vocab_size, lang_cfg,
-                                             pad_id=c.pad_id)
+            self.language = LanguagePipeline(rng, c)
             if c.pooling == "seq_proj":
                 self.pool = SequenceProjection(rng, c.seq_len, c.d_l, "pool.seq")
 
         self.vision = None
         self.image_proj = None
         if c.use_image:
-            vis_cfg = EncoderConfig(depth=c.vision_depth, dim=c.d_p,
-                                    heads=c.heads, mlp_ratio=c.mlp_ratio)
-            patch = PatchSpec(c.patch_size, c.channels, c.d_p)
-            self.vision = VisionPipeline(rng, vis_cfg, patch,
-                                         (c.image_height, c.image_width))
+            self.vision = VisionPipeline(rng, c)
             total_patches = c.lag * self.vision.n_p
             self.image_proj = SequenceProjection(rng, total_patches, c.d_p,
                                                  "pool.img")
@@ -234,7 +219,8 @@ class MeantModel:
 
     def _check_inputs(self, ids, macd, images) -> None:
         """Each enabled input is present with the config's lag after the
-        batch axis, and ids with its seq_len after that."""
+        batch axis, ids with its seq_len after that, and every token id
+        in its vocabulary."""
         c = self.config
         for on, x, name, want in ((c.use_text, ids, "token ids", (c.lag, c.seq_len)),
                                   (c.use_price, macd, "MACD input", (c.lag,)),
@@ -244,6 +230,9 @@ class MeantModel:
             if on and np.shape(x)[1:1 + len(want)] != want:
                 raise DimensionError(f"{name} of shape {np.shape(x)}: model "
                                      f"takes lag {c.lag}, seq_len {c.seq_len}")
+        if c.use_text and not 0 <= np.min(ids) <= np.max(ids) < c.vocab_size:
+            raise ContractError(f"token ids span {np.min(ids)}..{np.max(ids)}: "
+                                f"model takes 0..{c.vocab_size - 1}")
 
     def forward(self, ids: np.ndarray | None, macd: np.ndarray | None,
                 images: np.ndarray | None) -> Tensor:

@@ -15,7 +15,7 @@ import pytest
 from conftest import toy_batch, toy_model
 from meant.checks import model_grad_check, perturb_params
 from meant.dataset import build_lag_windows, load_dataset, save_dataset, stocknet_label
-from meant.embeddings import PatchSpec
+from meant.encoders import VisionPipeline
 from meant.fusion import (ModelConfig, QueryTargetAttention,
                           SequenceProjection, mean_pool)
 from meant.indicators import (CrossSignal, IndicatorSeries, PriceSeries,
@@ -152,9 +152,9 @@ def test_criterion_4_stocknet_label_band():
 def test_criterion_5_shape_contracts():
     start = time.monotonic()
     ok = ModelConfig(d_l=768).d_t == 773
-    spec = PatchSpec(patch_size=16, channels=3)
-    ok = ok and spec.patch_count(224, 224) == 196
-    ok = ok and 5 * spec.patch_count(224, 224) == 980
+    paper = ModelConfig(image_height=224, image_width=224, patch_size=16)
+    n_p = VisionPipeline(np.random.default_rng(0), paper).n_p
+    ok = ok and n_p == 196 and paper.lag * n_p == 980
 
     model = toy_model()
     c = model.config

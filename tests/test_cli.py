@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 import struct
@@ -173,6 +174,34 @@ class TestTrain:
             assert rc == 1
             assert "error:" in capsys.readouterr().err
 
+    def test_dataset_field_in_config_exits_one(self, workspace, tmp_path,
+                                               capsys):
+        # a vocabulary smaller than the dataset's ids; a pad id that is a
+        # real word of the dataset's vocabulary
+        for key, value in (("vocab_size", 5), ("pad_id", 3)):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES,
+                                                 key: value}}))
+            rc = main(["train", "--config", str(bad),
+                       "--data", str(workspace["data"]), "--out", str(tmp_path)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and key in err
+
+    def test_token_id_outside_vocabulary_exits_one(self, workspace, tmp_path,
+                                                   capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(workspace["data"], data)
+        lines = (data / "windows.jsonl").read_text().splitlines()
+        row = json.loads(lines[0])
+        row["X"][0][0] = 999
+        lines[0] = json.dumps(row)
+        (data / "windows.jsonl").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--data", str(data), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "error: token ids" in capsys.readouterr().err
+
     def test_bad_train_values_exit_one(self, workspace, tmp_path, capsys):
         for train in ({"batch_size": 0}, {"batch_size": -2}, {"epochs": "2"}):
             bad = tmp_path / "bad.json"
@@ -266,6 +295,20 @@ class TestEval:
         assert rc == 1
         assert "lag" in capsys.readouterr().err
 
+    def test_checkpoint_vocab_differs_from_dataset_exits_one(
+            self, workspace, tmp_path, capsys):
+        manifest = json.loads((workspace["data"] / "manifest.json").read_text())
+        config = _model_config(RunConfig.from_dict({"model": MODEL_OVERRIDES}),
+                               manifest)
+        config = dataclasses.replace(config, vocab_size=config.vocab_size + 1)
+        params = {k: p.data for k, p in MeantModel(config).params().items()}
+        save_checkpoint(tmp_path / "vocab.ckpt", config, params)
+        rc = main(["eval", "--checkpoint", str(tmp_path / "vocab.ckpt"),
+                   "--data", str(workspace["data"]), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "vocab_size" in err
+
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
@@ -277,8 +320,13 @@ class TestEval:
         lambda m: {**m, "normalization": {"mean": [0.0] * 5}},
         lambda m: {**m, "split": [0.8, 0.1, 0.1]},
         lambda m: {k: v for k, v in m.items() if k != "count"},
+        lambda m: {**m, "tokenizer": [1]},
+        lambda m: {**m, "tokenizer": {**m["tokenizer"], "vocab": {"up": "3"}}},
+        lambda m: {**m, "image_shape": [3, 32]},
+        lambda m: {**m, "seq_len": "8"},
     ], ids=["list", "no_normalization", "no_std", "split_not_object",
-            "no_count"])
+            "no_count", "tokenizer_not_object", "vocab_id_not_int",
+            "image_shape_two_ints", "seq_len_not_int"])
     def test_malformed_manifest_exits_one(self, workspace, trained, tmp_path,
                                           capsys, edit):
         data = tmp_path / "ds"

@@ -328,10 +328,12 @@ class TestPersistence:
         with pytest.raises(DatasetFormatError, match="count"):
             load_dataset(tmp_path / "ds")
 
-    def test_empty_dataset(self, tmp_path):
-        save_dataset([], tmp_path / "ds")
+    def test_empty_dataset(self, tmp_path, sine_dataset):
+        _, _, tok = sine_dataset
+        save_dataset([], tmp_path / "ds", tokenizer=tok)
         back, manifest = load_dataset(tmp_path / "ds")
         assert back == [] and manifest["count"] == 0
+        assert manifest["lag"] is None and manifest["seq_len"] == tok.max_len
 
     def test_normalization_from_training_head(self, tmp_path, sine_dataset):
         # fitted on exactly the training part of the recorded split

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meant.embeddings import (PatchSpec, apply_axial_rotary_2d, apply_rotary,
-                              apply_xpos, extract_patches, patch_embed,
-                              token_embed, xpos_scales)
+from meant.embeddings import (apply_axial_rotary_2d, apply_rotary, apply_xpos,
+                              extract_patches, patch_embed, token_embed,
+                              xpos_scales)
+from meant.encoders import VisionPipeline
 from meant.errors import DimensionError
+from meant.fusion import MeantModel, ModelConfig
 from meant.tensor import Tensor, grad_check, matmul
 
 
@@ -36,58 +38,58 @@ class TestTokenEmbed:
 
 class TestPatches:
     def test_patch_counts(self):
-        assert PatchSpec(16).patch_count(224, 224) == 196
-        assert PatchSpec(4).patch_count(8, 8) == 4
+        for side, patch, n_p in ((224, 16, 196), (8, 4, 4)):
+            config = ModelConfig(image_height=side, image_width=side,
+                                 patch_size=patch)
+            assert VisionPipeline(np.random.default_rng(0), config).n_p == n_p
 
     def test_indivisible_rejected(self):
+        # checked when the model is built, and only if it reads images
+        config = dict(image_height=100, image_width=224, patch_size=16)
         with pytest.raises(DimensionError):
-            PatchSpec(16).patch_count(100, 224)
+            MeantModel(ModelConfig(**config))
+        MeantModel(ModelConfig(**config, use_image=False))
         with pytest.raises(DimensionError):
-            extract_patches(rand((3, 10, 8)), PatchSpec(4))
+            extract_patches(rand((3, 10, 8)), 4)
 
     def test_extract_reassembles_pixels(self):
         # every pixel appears exactly once; check a specific patch cell
-        spec = PatchSpec(patch_size=2, channels=1)
         img = np.arange(16.0).reshape(1, 4, 4)
-        flat = extract_patches(img, spec)
+        flat = extract_patches(img, 2)
         assert flat.shape == (4, 4)
         # patch 1 covers columns 2..3 of rows 0..1
         assert np.array_equal(flat[1], [2.0, 3.0, 6.0, 7.0])
         assert sorted(flat.reshape(-1)) == sorted(img.reshape(-1))
 
     def test_channel_major_layout(self):
-        spec = PatchSpec(patch_size=2, channels=2)
         img = rand((2, 2, 2), seed=1)
-        flat = extract_patches(img, spec)
+        flat = extract_patches(img, 2)
         assert np.array_equal(flat[0, :4], img[0].reshape(-1))
         assert np.array_equal(flat[0, 4:], img[1].reshape(-1))
 
     def test_batch_leading_axes(self):
-        spec = PatchSpec(patch_size=4, channels=3)
-        flat = extract_patches(rand((2, 5, 3, 8, 8)), spec)
+        flat = extract_patches(rand((2, 5, 3, 8, 8)), 4)
         assert flat.shape == (2, 5, 4, 48)
 
     def test_patch_embed_linear_in_pixels(self):
-        spec = PatchSpec(patch_size=4, channels=3, dim=6)
-        w = Tensor(rand((spec.flat_size, 6), seed=2))
+        w = Tensor(rand((3 * 4 * 4, 6), seed=2))
         b = Tensor(rand(6, seed=3))
-        zero = patch_embed(np.zeros((3, 8, 8)), w, b, spec)
+        zero = patch_embed(np.zeros((3, 8, 8)), w, b, 4)
         assert np.allclose(zero.data, np.broadcast_to(b.data, (4, 6)))
         a, c = rand((3, 8, 8), 4), rand((3, 8, 8), 5)
-        lhs = patch_embed(a + c, w, b, spec).data
-        rhs = (patch_embed(a, w, b, spec).data
-               + patch_embed(c, w, b, spec).data - b.data)
+        lhs = patch_embed(a + c, w, b, 4).data
+        rhs = (patch_embed(a, w, b, 4).data
+               + patch_embed(c, w, b, 4).data - b.data)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_patch_embed_invertible_when_overcomplete(self):
-        # with dim >= flat_size a full-rank projection loses no pixels
-        spec = PatchSpec(patch_size=2, channels=1, dim=8)
+        # with dim >= c*P*P a full-rank projection loses no pixels
         w = Tensor(rand((4, 8), seed=6))
         b = Tensor(np.zeros(8))
         img = rand((1, 4, 4), seed=7)
-        out = patch_embed(img, w, b, spec).data
+        out = patch_embed(img, w, b, 2).data
         back = out @ np.linalg.pinv(w.data)
-        assert np.max(np.abs(back - extract_patches(img, spec))) < 1e-9
+        assert np.max(np.abs(back - extract_patches(img, 2))) < 1e-9
 
 
 class TestRotary:

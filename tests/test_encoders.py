@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from meant.embeddings import PatchSpec, apply_xpos
-from meant.encoders import (EncoderConfig, FeedForward, LanguagePipeline,
-                            MultiHeadAttention, VisionPipeline)
-from meant.errors import DimensionError, NumericError
+from meant.embeddings import apply_xpos
+from meant.encoders import (FeedForward, LanguagePipeline, MultiHeadAttention,
+                            VisionPipeline)
+from meant.errors import ContractError, DimensionError, NumericError
+from meant.fusion import ModelConfig
 from meant.tensor import Tensor, grad_check
 
 
@@ -103,8 +104,9 @@ class TestFeedForward:
 
 class TestLanguagePipeline:
     def make(self, **over):
-        cfg = EncoderConfig(**{**dict(depth=2, dim=16, heads=2), **over})
-        return LanguagePipeline(rng_(0), vocab_size=12, cfg=cfg)
+        cfg = ModelConfig(**{**dict(vocab_size=12, lang_depth=2, d_l=16,
+                                    heads=2), **over})
+        return LanguagePipeline(rng_(0), cfg)
 
     def test_output_shape(self):
         pipe = self.make()
@@ -124,37 +126,36 @@ class TestLanguagePipeline:
         pipe = self.make()
         ids = rng_(3).integers(1, 12, size=(1, 1, 6))
         padded = ids.copy()
-        padded[0, 0, 4:] = pipe.pad_id
+        padded[0, 0, 4:] = pipe.config.pad_id
         trimmed = pipe(padded).data[0, 0, :4, :]
-        short = np.full((1, 1, 6), pipe.pad_id, dtype=np.int64)
+        short = np.full((1, 1, 6), pipe.config.pad_id, dtype=np.int64)
         short[0, 0, :4] = padded[0, 0, :4]
         assert np.max(np.abs(pipe(short).data[0, 0, :4, :] - trimmed)) < 1e-12
 
     def test_fully_padded_day_survives(self):
         pipe = self.make()
-        ids = np.full((1, 2, 6), pipe.pad_id, dtype=np.int64)
+        ids = np.full((1, 2, 6), pipe.config.pad_id, dtype=np.int64)
         out = pipe(ids)
         assert np.isfinite(out.data).all()
 
     def test_position_encoding_variants_differ(self):
         ids = rng_(4).integers(1, 12, size=(1, 1, 6))
-        outs = [self.make(pos_encoding=p)(ids).data
+        outs = [self.make(lang_pos=p)(ids).data
                 for p in ("xpos", "rotary", "none")]
         assert not np.allclose(outs[0], outs[1])
         assert not np.allclose(outs[1], outs[2])
 
     def test_unknown_pos_encoding(self):
-        from meant.errors import ContractError
-        pipe = self.make(pos_encoding="fourier")
-        with pytest.raises(ContractError):
-            pipe(np.zeros((1, 1, 4), dtype=np.int64))
+        with pytest.raises(ContractError, match="lang_pos"):
+            self.make(lang_pos="fourier")
 
 
 class TestVisionPipeline:
     def make(self, depth=1, dim=16, heads=2, patch=4, hw=(8, 8), seed=0):
-        cfg = EncoderConfig(depth=depth, dim=dim, heads=heads)
-        spec = PatchSpec(patch_size=patch, channels=3, dim=dim)
-        return VisionPipeline(rng_(seed), cfg, spec, hw)
+        cfg = ModelConfig(vision_depth=depth, d_p=dim, heads=heads,
+                          patch_size=patch, image_height=hw[0],
+                          image_width=hw[1])
+        return VisionPipeline(rng_(seed), cfg)
 
     def test_output_shape(self):
         pipe = self.make()
@@ -164,8 +165,7 @@ class TestVisionPipeline:
     def test_paper_scale_token_count(self):
         # 224x224 with 16-pixel patches is 196 tokens per frame; a 5-day
         # window flattens to 980
-        spec = PatchSpec(patch_size=16, channels=3, dim=16)
-        assert 5 * spec.patch_count(224, 224) == 980
+        assert 5 * self.make(patch=16, hw=(224, 224)).n_p == 980
 
     def test_identical_frames_stay_identical(self):
         # temporal attention over equal frames is frame-symmetric
@@ -175,10 +175,11 @@ class TestVisionPipeline:
         out = pipe(images).data.reshape(1, 4, 4, 16)
         assert np.max(np.abs(out - out[:, :1])) < 1e-12
 
-    def test_patch_dim_mismatch_rejected(self):
-        cfg = EncoderConfig(depth=1, dim=16, heads=2)
-        with pytest.raises(DimensionError):
-            VisionPipeline(rng_(), cfg, PatchSpec(4, 3, dim=8), (8, 8))
+    def test_patch_projection_follows_config(self):
+        # one c*P*P pixel row per patch in, one d_p token out
+        pipe = self.make(dim=8, patch=4)
+        assert pipe.proj_w.shape == (3 * 4 * 4, 8)
+        assert pipe.proj_b.shape == (8,)
 
     def test_frame_order_matters(self):
         pipe = self.make()

@@ -217,6 +217,15 @@ class TestMeantModel:
         with pytest.raises(DimensionError, match="seq_len"):
             model(good["ids"][..., :-1], good["macd"], good["images"])
 
+    def test_token_ids_checked_against_vocabulary(self):
+        model = toy_model()
+        batch = toy_batch(model.config)
+        for bad in (model.config.vocab_size, -1):
+            ids = batch["ids"].copy()
+            ids[1, 0, 2] = bad
+            with pytest.raises(ContractError, match="token ids"):
+                model(ids, batch["macd"], batch["images"])
+
     def test_disabled_modality_ignores_input(self):
         model = toy_model(use_image=False)
         batch = toy_batch(toy_model().config)
