@@ -25,8 +25,8 @@ from .indicators import compute_macd, load_prices_csv
 from .tensor import (Tensor, attention, embedding_lookup, grad_check, gelu,
                      layer_norm, matmul, rotate_pairs, softmax_last_dim)
 from .tokenizer import TokenizerSpec, build_vocab
-from .training import (evaluate, restore_model, save_checkpoint, train,
-                       truncate_lag, windows_to_arrays)
+from .training import (dataset_binding, evaluate, restore_model,
+                       save_checkpoint, train, truncate_lag, windows_to_arrays)
 
 log = logging.getLogger("meant")
 
@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
     _, best, log_records, report = _fit_and_score(config, run, splits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "model.ckpt", config, best)
+    save_checkpoint(out / "model.ckpt", config, best, dataset_binding(manifest))
     with open(out / "training_log.jsonl", "w", encoding="utf-8") as fh:
         for rec in log_records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -161,11 +161,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = restore_model(args.checkpoint)
+    model, binding = restore_model(args.checkpoint)
     manifest, (data,) = _split_arrays(args.data, [args.split])
-    trained = model.config.to_dict()
-    differ = [f"{k} {trained[k]} != {v}"
-              for k, v in _dataset_fields(manifest).items() if trained[k] != v]
+    trained = {**model.config.to_dict(), **binding}
+    expected = {**_dataset_fields(manifest), **dataset_binding(manifest)}
+    differ = [f"{k} {trained.get(k)} != {v}"
+              for k, v in expected.items() if trained.get(k) != v]
     if differ:
         raise ContractError(f"checkpoint does not fit the dataset "
                             f"(checkpoint != dataset): {', '.join(differ)}")
@@ -277,6 +278,13 @@ def cmd_gradcheck(args) -> int:
             lambda q, k, v: (attention(q, k, v, 0.5, keys) * Tensor(probe_att)).sum(),
             Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 5, 4))),
             Tensor(rng.normal(size=(2, 5, 3))))
+        # the linear term keeps every gradient coordinate away from zero,
+        # where the relative error would only measure roundoff
+        yield "padded_attn", grad_check(
+            lambda q, k, v: (attention(q, k, v, 0.5, padded) * Tensor(probe_pad)).sum()
+            + 2.0 * (q.sum() + k.sum() + v.sum()),
+            Tensor(rng.normal(size=(3, 2, 2, 4))), Tensor(rng.normal(size=(3, 2, 24, 4))),
+            Tensor(rng.normal(size=(3, 2, 24, 3))))
         yield "rotary", grad_check(
             lambda x: (rotate_pairs(x, cos, sin) * Tensor(probe6)).sum(),
             Tensor(rng.normal(size=(3, 6))))
@@ -293,6 +301,9 @@ def cmd_gradcheck(args) -> int:
     probe6 = rng.normal(size=(3, 6))
     probe_att = rng.normal(size=(2, 3, 3))
     keys = np.array([True, True, False, True, False])
+    # a key-padding mask whose rows attend over 8, 16 and all 24 keys
+    padded = (np.arange(24) < np.array([[5], [13], [24]]))[:, None, None, :]
+    probe_pad = rng.normal(size=(3, 2, 2, 3))
     # unrelated, non-unit tables stand for rotary angles with an xPos scale
     cos, sin = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
     for name, err in op_checks():

@@ -16,7 +16,7 @@ from .fusion import MeantModel, ModelConfig
 from .tensor import Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"MEAN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -301,14 +301,29 @@ def train(model: MeantModel, train_data: dict, val_data: dict,
 # -- checkpoints -------------------------------------------------------
 
 
-def save_checkpoint(path, config: ModelConfig,
-                    params: dict[str, np.ndarray]) -> None:
+def _json_record(obj) -> bytes:
+    """Canonical JSON: sorted keys, no spaces, UTF-8."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def dataset_binding(manifest: dict) -> dict:
+    """CRC32s of the canonical JSON of a dataset manifest's tokenizer and
+    MACD normalization. A checkpoint records them, so that ``eval`` refuses
+    a dataset whose ids or features mean something else, even at the same
+    vocabulary size."""
+    return {f"{key}_crc32": zlib.crc32(_json_record(manifest[key]))
+            for key in ("tokenizer", "normalization")}
+
+
+def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
+                    binding: dict) -> None:
+    """Write the model's config, the ``dataset_binding`` of the dataset it
+    was trained on and its parameters, sealed by a CRC32 of the file."""
     body = bytearray()
     body += CHECKPOINT_MAGIC
     body += struct.pack("<I", CHECKPOINT_VERSION)
-    cfg_json = json.dumps(config.to_dict(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-    body += struct.pack("<I", len(cfg_json)) + cfg_json
+    for record in (_json_record(config.to_dict()), _json_record(binding)):
+        body += struct.pack("<I", len(record)) + record
     body += struct.pack("<I", len(params))
     for name in sorted(params):
         data = np.ascontiguousarray(params[name], dtype="<f8")
@@ -320,7 +335,8 @@ def save_checkpoint(path, config: ModelConfig,
         fh.write(bytes(body))
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
+    """The config, parameters and dataset binding ``save_checkpoint`` wrote."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
@@ -334,6 +350,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise DatasetFormatError(f"unsupported checkpoint version {version}")
     cfg_len, = struct.unpack_from("<I", blob, off); off += 4
     config = ModelConfig.from_dict(json.loads(blob[off:off + cfg_len])); off += cfg_len
+    bind_len, = struct.unpack_from("<I", blob, off); off += 4
+    binding = json.loads(blob[off:off + bind_len]); off += bind_len
+    if not isinstance(binding, dict):
+        raise DatasetFormatError("checkpoint dataset binding is not an object")
     count, = struct.unpack_from("<I", blob, off); off += 4
     params = {}
     for _ in range(count):
@@ -342,12 +362,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         size, = struct.unpack_from("<Q", blob, off); off += 8
         params[name] = np.frombuffer(blob, dtype="<f8", count=size,
                                      offset=off).copy(); off += 8 * size
-    return config, params
+    return config, params, binding
 
 
-def restore_model(path, seed: int = 42) -> MeantModel:
-    """Rebuild a model from a checkpoint, shape-checking every tensor."""
-    config, flat = load_checkpoint(path)
+def restore_model(path, seed: int = 42) -> tuple[MeantModel, dict]:
+    """Rebuild a model from a checkpoint, shape-checking every tensor; also
+    returns the checkpoint's dataset binding."""
+    config, flat, binding = load_checkpoint(path)
     model = MeantModel(config, seed=seed)
     params = model.params()
     if set(params) != set(flat):
@@ -359,4 +380,4 @@ def restore_model(path, seed: int = 42) -> MeantModel:
                 f"checkpoint tensor {name!r} has {flat[name].size} elements, "
                 f"model expects {p.size}")
         p.data = flat[name].reshape(p.shape).copy()
-    return model
+    return model, binding

@@ -53,3 +53,14 @@ def toy_batch(config: ModelConfig, b=2, seed=0) -> dict:
                               config.image_height, config.image_width)),
         "labels": rng.integers(0, 2, size=b),
     }
+
+
+def padded_days(config: ModelConfig, shape: tuple[int, ...], seed=0) -> np.ndarray:
+    """Day rows of ``shape + (seq_len,)`` as the tokenizer emits them: words
+    (ids past PAD/UNK/SEP) followed by a PAD suffix, with lengths from one
+    word to a full row."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(3, config.vocab_size, size=(*shape, config.seq_len))
+    lengths = rng.integers(1, config.seq_len + 1, size=shape)
+    ids[np.arange(config.seq_len) >= lengths[..., None]] = config.pad_id
+    return ids

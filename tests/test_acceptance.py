@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import toy_batch, toy_model
+from conftest import padded_days, toy_batch, toy_model
 from meant.checks import model_grad_check, perturb_params
 from meant.dataset import build_lag_windows, load_dataset, save_dataset, stocknet_label
 from meant.encoders import VisionPipeline
@@ -21,7 +21,8 @@ from meant.fusion import (ModelConfig, QueryTargetAttention,
 from meant.indicators import (CrossSignal, IndicatorSeries, PriceSeries,
                               classify_crossover, compute_macd, ema)
 from meant.synthetic import make_sine_prices, make_tweets
-from meant.tensor import Tensor, gelu, grad_check, layer_norm, matmul, softmax_last_dim
+from meant.tensor import (Tensor, attention, gelu, grad_check, layer_norm,
+                          matmul, softmax_last_dim)
 from meant.training import (AdamW, CosineWarmRestarts, TrainConfig,
                             compute_metrics, cross_entropy, evaluate, train,
                             windows_to_arrays)
@@ -182,6 +183,11 @@ def test_criterion_6_gradient_suite():
     gain, bias = Tensor(np.ones(6)), Tensor(np.zeros(6))
     fixed = Tensor(rng.normal(size=(3, 2)))
     probe = Tensor(rng.normal(size=(2, 3)))
+    # three rows of 24 tokens under a key-padding mask; they attend over
+    # 8, 16 and all 24 keys
+    tokens = Tensor(rng.normal(size=(3, 1, 24, 6)))
+    padded = (np.arange(24) < np.array([[3], [11], [20]]))[:, None, None, :]
+    probe_att = Tensor(rng.normal(size=(3, 1, 24, 6)))
     op_fns = {
         "matmul": lambda t: matmul(t.reshape(2, 3), fixed).sum(),
         "softmax": lambda t: (softmax_last_dim(t.reshape(2, 3)) * probe).sum()
@@ -191,6 +197,8 @@ def test_criterion_6_gradient_suite():
                                            bias).sum() + 2.0 * t.sum(),
         "exp_log_sqrt": lambda t: ((t * t + 1.0).sqrt().log().exp()).sum(),
         "mean_sub_div": lambda t: (t.mean() - (t / 3.0).sum()).reshape(),
+        "padded_attention": lambda t: (attention(
+            *(tokens * t,) * 3, 0.5, padded) * probe_att).sum() + 2.0 * t.sum(),
     }
     worst_op = 0.0
     for fn in op_fns.values():
@@ -258,8 +266,8 @@ def test_criterion_8_pooling_dichotomy():
              f"parameter delta {delta} = s+2d", ok)
 
 
-def _overfit_problem(n=64, seed=9, use_image=True):
-    model = toy_model(seed=seed, use_image=use_image)
+def _overfit_problem(n=64, seed=9, use_image=True, **overrides):
+    model = toy_model(seed=seed, use_image=use_image, **overrides)
     c = model.config
     rng = np.random.default_rng(seed)
     macd = rng.normal(size=(n, c.lag, 5))
@@ -339,15 +347,34 @@ def test_criterion_11_metrics():
              "and the hand case", ok)
 
 
-def test_criterion_12_determinism():
+def _reproducible(problem) -> bool:
+    """Two seeded trainings on ``problem()`` log the same, and evaluation
+    reports the same twice in a row and across the two runs."""
     runs = []
     for _ in range(2):
-        model, data = _overfit_problem(n=32, seed=12, use_image=False)
+        model, data = problem()
         cfg = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=12)
         _, log = train(model, data, data, cfg)
         report_a = evaluate(model, data).to_dict()
         report_b = evaluate(model, data).to_dict()
         runs.append((log, report_a, report_b))
     (log1, rep1a, rep1b), (log2, rep2a, rep2b) = runs
-    ok = log1 == log2 and rep1a == rep1b and rep1a == rep2a
+    return log1 == log2 and rep1a == rep1b and rep1a == rep2a
+
+
+def test_criterion_12_determinism():
+    ok = _reproducible(lambda: _overfit_problem(n=32, seed=12, use_image=False))
     _verdict(12, "seeded training and evaluation are bit-reproducible", ok)
+
+
+def _padded_problem():
+    """The determinism problem over 32-token days of mixed lengths, whose
+    rows attend over key groups of several widths."""
+    model, data = _overfit_problem(n=32, seed=12, use_image=False, seq_len=32)
+    data["ids"] = padded_days(model.config, data["ids"].shape[:2], seed=12)
+    return model, data
+
+
+def test_criterion_12_determinism_padded_days():
+    _verdict(12, "bit-reproducible on right-padded 32-token days",
+             _reproducible(_padded_problem))

@@ -13,7 +13,7 @@ from meant.cli import ABLATION_VARIANTS, _model_config, build_parser, main
 from meant.config import RunConfig
 from meant.errors import ConfigError
 from meant.fusion import MeantModel
-from meant.training import save_checkpoint
+from meant.training import dataset_binding, save_checkpoint
 from meant.synthetic import make_sine_prices, make_tweets
 
 MODEL_OVERRIDES = {"d_l": 8, "d_p": 8, "heads": 2, "lang_depth": 1,
@@ -289,7 +289,8 @@ class TestEval:
         config = _model_config(
             RunConfig.from_dict({"model": {**MODEL_OVERRIDES, "lag": 5}}), manifest)
         params = {k: p.data for k, p in MeantModel(config).params().items()}
-        save_checkpoint(tmp_path / "lag5.ckpt", config, params)
+        save_checkpoint(tmp_path / "lag5.ckpt", config, params,
+                        dataset_binding(manifest))
         rc = main(["eval", "--checkpoint", str(tmp_path / "lag5.ckpt"),
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
         assert rc == 1
@@ -302,12 +303,42 @@ class TestEval:
                                manifest)
         config = dataclasses.replace(config, vocab_size=config.vocab_size + 1)
         params = {k: p.data for k, p in MeantModel(config).params().items()}
-        save_checkpoint(tmp_path / "vocab.ckpt", config, params)
+        save_checkpoint(tmp_path / "vocab.ckpt", config, params,
+                        dataset_binding(manifest))
         rc = main(["eval", "--checkpoint", str(tmp_path / "vocab.ckpt"),
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and "vocab_size" in err
+
+    @pytest.mark.parametrize("rebuild", ["rewritten_words", "other_split"])
+    def test_dataset_of_other_tokenizer_or_normalization_exits_one(
+            self, workspace, trained, tmp_path, capsys, rebuild):
+        # every word rewritten keeps the vocabulary size but not its words;
+        # another split keeps the words but refits the normalization
+        tweets, extra = workspace["tweets"], []
+        if rebuild == "rewritten_words":
+            tweets = tmp_path / "tweets.jsonl"
+            rows = [json.loads(line) for line in
+                    workspace["tweets"].read_text().splitlines()]
+            tweets.write_text("".join(
+                json.dumps({**r, "text": " ".join(w + "q" for w in r["text"].split())})
+                + "\n" for r in rows))
+        else:
+            extra = ["--split", "0.6,0.2,0.2"]
+        data = tmp_path / "dataset"
+        assert main(build_args(workspace["prices"], tweets, data) + extra) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        trained_on = json.loads((workspace["data"] / "manifest.json").read_text())
+        assert len(manifest["tokenizer"]["vocab"]) == \
+            len(trained_on["tokenizer"]["vocab"])
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"),
+                   "--data", str(data), "--out", str(tmp_path)])
+        assert rc == 1
+        key = "tokenizer" if rebuild == "rewritten_words" else "normalization"
+        err = capsys.readouterr().err
+        assert "error:" in err and f"{key}_crc32" in err
 
     def test_missing_checkpoint(self, workspace, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -401,6 +432,7 @@ class TestGradcheckCommand:
         assert "all gradient checks passed" in out
         assert out.count("ok") >= 11
         assert "op gather" in out
+        assert "op padded_attn" in out
         for pooling in ("mean_pool", "seq_proj"):
             assert f"model ({pooling}, shared days) max rel err" in out
 

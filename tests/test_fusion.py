@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import TOY_MODEL, toy_batch, toy_model
+from conftest import TOY_MODEL, padded_days, toy_batch, toy_model
 from meant.errors import ContractError, DimensionError
 from meant.fusion import (MeantModel, ModelConfig, QueryTargetAttention,
                           SequenceProjection, fuse_price, mean_pool)
+from meant import tensor
 from meant.tensor import Tensor, concat
 from meant.training import cross_entropy
 
@@ -341,3 +342,22 @@ class TestDistinctDayEncoding:
             list(itertools.product(range(1, 4), repeat=4))[:15]).reshape(3, 5, 4)
         assert len(np.unique(batch["ids"].reshape(-1, 4), axis=0)) == 15
         _assert_matches_per_window(model, batch)
+
+
+class TestKeyGroups:
+    """Language attention groups day rows by the keys they need."""
+
+    def test_padded_days_match_single_group_path(self, monkeypatch):
+        model = toy_model(vocab_size=40, seq_len=32, lag=3, d_l=16,
+                          lang_depth=2, use_image=False)
+        batch = toy_batch(model.config, b=6, seed=4)
+        batch["ids"] = padded_days(model.config, (6, 3), seed=5)
+        lengths = (batch["ids"] != model.config.pad_id).sum(axis=-1)
+        assert len(np.unique(np.minimum(-(-lengths // 8) * 8, 32))) >= 3
+        got, got_grads = _logits_and_grads(model, model, batch)
+        monkeypatch.setattr(tensor, "_key_groups",
+                            lambda q, k, v, mask: [(slice(None), k[-2])])
+        want, want_grads = _logits_and_grads(model, model, batch)
+        assert np.abs(got - want).max() <= 1e-12
+        for name, g in want_grads.items():
+            assert np.abs(got_grads[name] - g).max() <= 1e-12, name

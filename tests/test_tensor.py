@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from meant.errors import ContractError, DimensionError, NumericError
 from meant.fusion import MeantModel, ModelConfig
-from meant.tensor import (Tensor, attention, gelu, grad_check, layer_norm,
-                          matmul, no_grad, rotate_pairs, softmax_last_dim)
+from meant.tensor import (Tensor, _key_groups, attention, gelu, grad_check,
+                          layer_norm, matmul, no_grad, rotate_pairs,
+                          softmax_last_dim)
 from meant.training import cross_entropy
 
 
@@ -276,6 +277,71 @@ class TestAttention:
             return (attention(q, k, v, 0.5, mask) * probe).sum()
 
         assert grad_check(f, q, k, v) < 1e-6
+
+
+def key_padding_mask() -> np.ndarray:
+    """A (5, 1, 1, 24) key-padding mask whose rows need 8, 16 or 24 keys:
+    one row sees a single key, one has a masked key inside its visible
+    prefix, and one sees every key."""
+    visible = np.zeros((5, 24), dtype=bool)
+    visible[0, :1] = True
+    visible[1, :12] = True
+    visible[1, 5] = False
+    visible[2, :] = True
+    visible[3, :20] = True
+    visible[4, :7] = True
+    return visible[:, None, None, :]
+
+
+class TestGroupedAttention:
+    """Rows of a key-padding mask attend over the keys they need only."""
+
+    shapes = ((5, 2, 3, 4), (5, 2, 24, 4), (5, 2, 24, 3))
+
+    def operands(self):
+        return [rand(*s, seed=i) for i, s in enumerate(self.shapes)]
+
+    def test_rows_fall_in_three_widths(self):
+        groups = _key_groups(*self.shapes, key_padding_mask())
+        assert [(list(rows), w) for rows, w in groups] == \
+            [([0, 4], 8), ([1], 16), ([2, 3], 24)]
+
+    def test_matches_unfused_ops(self):
+        q, k, v = self.operands()
+        mask = key_padding_mask()
+        out = attention(q, k, v, 0.5, mask).data
+        want = unfused_attention(q.data, k.data, v.data, 0.5, mask)
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    def test_grad_check(self):
+        q, k, v = self.operands()
+        mask = key_padding_mask()
+        probe = rand(5, 2, 3, 3, seed=9)
+
+        # an added linear term keeps every gradient coordinate away from
+        # zero, where the relative-error metric would only measure noise
+        def f(q, k, v):
+            return ((attention(q, k, v, 0.5, mask) * probe).sum()
+                    + 2.0 * (q.sum() + k.sum() + v.sum()))
+
+        assert grad_check(f, q, k, v) < 1e-6
+
+    def test_keys_past_a_rows_width_get_zero_gradient(self):
+        q, k, v = self.operands()
+        for t in (q, k, v):
+            t.requires_grad = True
+        (attention(q, k, v, 0.5, key_padding_mask()) * rand(5, 2, 3, 3)).sum().backward()
+        assert not k.grad[0, :, 8:].any() and not v.grad[0, :, 8:].any()
+        assert not k.grad[1, :, 16:].any() and not v.grad[1, :, 16:].any()
+
+    def test_row_alone_equals_row_in_mixed_batch(self):
+        q, k, v = self.operands()
+        mask = key_padding_mask()
+        batch = attention(q, k, v, 0.5, mask).data
+        for row in range(5):
+            alone = attention(*(Tensor(t.data[row:row + 1]) for t in (q, k, v)),
+                              0.5, mask[row:row + 1]).data
+            assert alone.tobytes() == batch[row:row + 1].tobytes(), row
 
 
 class TestFusedLayerNorm:

@@ -303,14 +303,19 @@ class TestTrainLoop:
         assert seen == [True, True, True]
 
 
+# stands for a ``dataset_binding``
+BINDING = {"normalization_crc32": 1234, "tokenizer_crc32": 5678}
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         model = toy_model(seed=5)
         path = tmp_path / "model.ckpt"
         params = {k: p.data for k, p in model.params().items()}
-        save_checkpoint(path, model.config, params)
-        config, loaded = load_checkpoint(path)
+        save_checkpoint(path, model.config, params, BINDING)
+        config, loaded, binding = load_checkpoint(path)
         assert config == model.config
+        assert binding == BINDING
         assert set(loaded) == set(params)
         for name in params:
             assert np.array_equal(loaded[name], params[name].reshape(-1))
@@ -320,8 +325,8 @@ class TestCheckpoint:
         batch = toy_batch(model.config)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.config,
-                        {k: p.data for k, p in model.params().items()})
-        again = restore_model(path)
+                        {k: p.data for k, p in model.params().items()}, BINDING)
+        again, _ = restore_model(path)
         a = model(batch["ids"], batch["macd"], batch["images"]).data
         b = again(batch["ids"], batch["macd"], batch["images"]).data
         assert np.array_equal(a, b)
@@ -330,7 +335,7 @@ class TestCheckpoint:
         model = toy_model()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.config,
-                        {k: p.data for k, p in model.params().items()})
+                        {k: p.data for k, p in model.params().items()}, BINDING)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         path.write_bytes(bytes(blob))
@@ -348,13 +353,13 @@ class TestCheckpoint:
         params = {k: p.data for k, p in model.params().items()}
         dropped = dict(list(params.items())[:-1])
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model.config, dropped)
+        save_checkpoint(path, model.config, dropped, BINDING)
         with pytest.raises(DatasetFormatError, match="mismatch"):
             restore_model(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = toy_model(seed=7)
         params = {k: p.data for k, p in model.params().items()}
-        save_checkpoint(tmp_path / "a.ckpt", model.config, params)
-        save_checkpoint(tmp_path / "b.ckpt", model.config, params)
+        save_checkpoint(tmp_path / "a.ckpt", model.config, params, BINDING)
+        save_checkpoint(tmp_path / "b.ckpt", model.config, params, BINDING)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
