@@ -25,8 +25,9 @@ from .indicators import compute_macd, load_prices_csv
 from .tensor import (Tensor, attention, embedding_lookup, grad_check, gelu,
                      layer_norm, matmul, rotate_pairs, softmax_last_dim)
 from .tokenizer import TokenizerSpec, build_vocab
-from .training import (dataset_binding, evaluate, restore_model,
-                       save_checkpoint, train, truncate_lag, windows_to_arrays)
+from .training import (cross_entropy, dataset_binding, evaluate,
+                       restore_model, save_checkpoint, train, truncate_lag,
+                       windows_to_arrays)
 
 log = logging.getLogger("meant")
 
@@ -249,53 +250,10 @@ def _shared_day_ids(config: ModelConfig, rng) -> np.ndarray:
     return np.stack([days[:-1], days[1:]])
 
 
-def cmd_gradcheck(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = RunConfig.from_file(args.config).model
-    base = {
-        "vocab_size": 12, "seq_len": 4, "lag": 2, "d_l": 8, "d_p": 8,
-        "heads": 2, "lang_depth": 1, "vision_depth": 1,
-        "image_height": 8, "image_width": 8, "patch_size": 4,
-    }
-    base.update(overrides)
-    rng = np.random.default_rng(7)
-    failures = []
-
-    def op_checks():
-        yield "matmul", grad_check(
-            lambda x: matmul(x, Tensor(rng_fixed)).sum(), Tensor(rng.normal(size=(3, 4))))
-        yield "softmax", grad_check(
-            lambda x: (softmax_last_dim(x) * Tensor(probe)).sum(),
-            Tensor(rng.normal(size=(2, 5))))
-        yield "gelu", grad_check(lambda x: gelu(x).sum(),
-                                 Tensor(rng.normal(size=(8,))))
-        yield "layer_norm", grad_check(
-            lambda x, gain, bias: (layer_norm(x, gain, bias) * Tensor(probe6)).sum(),
-            Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(1.0, 0.5, size=6)),
-            Tensor(rng.normal(size=6)))
-        yield "attention", grad_check(
-            lambda q, k, v: (attention(q, k, v, 0.5, keys) * Tensor(probe_att)).sum(),
-            Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 5, 4))),
-            Tensor(rng.normal(size=(2, 5, 3))))
-        # the linear term keeps every gradient coordinate away from zero,
-        # where the relative error would only measure roundoff
-        yield "padded_attn", grad_check(
-            lambda q, k, v: (attention(q, k, v, 0.5, padded) * Tensor(probe_pad)).sum()
-            + 2.0 * (q.sum() + k.sum() + v.sum()),
-            Tensor(rng.normal(size=(3, 2, 2, 4))), Tensor(rng.normal(size=(3, 2, 24, 4))),
-            Tensor(rng.normal(size=(3, 2, 24, 3))))
-        yield "rotary", grad_check(
-            lambda x: (rotate_pairs(x, cos, sin) * Tensor(probe6)).sum(),
-            Tensor(rng.normal(size=(3, 6))))
-        # rows of an op's output gathered with repeats, as the model
-        # gathers each distinct day's encoding back into its windows
-        rows = np.array([[2, 0, 2], [1, 2, 2]])
-        probe_rows = rng.normal(size=(2, 3, 4))
-        yield "gather", grad_check(
-            lambda x: (embedding_lookup(gelu(x), rows) * Tensor(probe_rows)).sum(),
-            Tensor(rng.normal(size=(3, 4))))
-
+def _op_checks(rng: np.random.Generator):
+    """(name, max relative error) of each op-level gradient check, one per
+    op the model runs that is not an arithmetic or shape op, plus the
+    ``softmax_last_dim`` reference."""
     rng_fixed = rng.normal(size=(4, 2))
     probe = rng.normal(size=(2, 5))
     probe6 = rng.normal(size=(3, 6))
@@ -306,9 +264,57 @@ def cmd_gradcheck(args) -> int:
     probe_pad = rng.normal(size=(3, 2, 2, 3))
     # unrelated, non-unit tables stand for rotary angles with an xPos scale
     cos, sin = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
-    for name, err in op_checks():
+    yield "matmul", grad_check(
+        lambda x: matmul(x, Tensor(rng_fixed)).sum(), Tensor(rng.normal(size=(3, 4))))
+    yield "softmax", grad_check(
+        lambda x: (softmax_last_dim(x) * Tensor(probe)).sum(),
+        Tensor(rng.normal(size=(2, 5))))
+    yield "gelu", grad_check(lambda x: gelu(x).sum(),
+                             Tensor(rng.normal(size=(8,))))
+    yield "layer_norm", grad_check(
+        lambda x, gain, bias: (layer_norm(x, gain, bias) * Tensor(probe6)).sum(),
+        Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(1.0, 0.5, size=6)),
+        Tensor(rng.normal(size=6)))
+    yield "attention", grad_check(
+        lambda q, k, v: (attention(q, k, v, 0.5, keys) * Tensor(probe_att)).sum(),
+        Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 5, 4))),
+        Tensor(rng.normal(size=(2, 5, 3))))
+    # the linear term keeps every gradient coordinate away from zero,
+    # where the relative error would only measure roundoff
+    yield "padded_attn", grad_check(
+        lambda q, k, v: (attention(q, k, v, 0.5, padded) * Tensor(probe_pad)).sum()
+        + 2.0 * (q.sum() + k.sum() + v.sum()),
+        Tensor(rng.normal(size=(3, 2, 2, 4))), Tensor(rng.normal(size=(3, 2, 24, 4))),
+        Tensor(rng.normal(size=(3, 2, 24, 3))))
+    yield "rotary", grad_check(
+        lambda x: (rotate_pairs(x, cos, sin) * Tensor(probe6)).sum(),
+        Tensor(rng.normal(size=(3, 6))))
+    # rows of an op's output gathered with repeats, as the model
+    # gathers each distinct day's encoding back into its windows
+    rows = np.array([[2, 0, 2], [1, 2, 2]])
+    probe_rows = rng.normal(size=(2, 3, 4))
+    yield "gather", grad_check(
+        lambda x: (embedding_lookup(gelu(x), rows) * Tensor(probe_rows)).sum(),
+        Tensor(rng.normal(size=(3, 4))))
+    yield "cross_entropy", grad_check(
+        lambda x: cross_entropy(x, np.array([0, 1, 1])) + 2.0 * x.sum(),
+        Tensor(rng.normal(size=(3, 2))))
+
+
+def cmd_gradcheck(args) -> int:
+    overrides = {}
+    if args.config:
+        overrides = RunConfig.from_file(args.config).model
+    base = {
+        "vocab_size": 12, "seq_len": 4, "lag": 2, "d_l": 8, "d_p": 8,
+        "heads": 2, "lang_depth": 1, "vision_depth": 1,
+        "image_height": 8, "image_width": 8, "patch_size": 4,
+    }
+    base.update(overrides)
+    failures = []
+    for name, err in _op_checks(np.random.default_rng(7)):
         status = "ok" if err < 1e-6 else "FAIL"
-        print(f"op {name:<12} max rel err {err:.3e}  {status}")
+        print(f"op {name:<13} max rel err {err:.3e}  {status}")
         if err >= 1e-6:
             failures.append(name)
 

@@ -211,8 +211,10 @@ def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
 def chronological_split(windows: list[LagWindow],
                         fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)):
     """Date-contiguous train/val/test slices with no shared target dates."""
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractError(f"fractions must be positive and sum to 1: {fractions}")
+    if (not all(np.isfinite(f) and f > 0 for f in fractions)
+            or abs(sum(fractions) - 1.0) > 1e-9):
+        raise ContractError(
+            f"fractions must be finite, positive and sum to 1: {fractions}")
     ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
     n = len(ordered)
 

@@ -187,10 +187,7 @@ class DividedSpaceTimeBlock:
 
         idx = np.arange(n_p)
         rows, cols = idx // gw, idx % gw
-        if self.attn_s.head_dim % 4 == 0:
-            rope_s = (lambda q, k: apply_axial_rotary_2d(q, k, rows, cols))
-        else:
-            rope_s = None
+        rope_s = (lambda q, k: apply_axial_rotary_2d(q, k, rows, cols))
         z = x.reshape(b * l, n_p, d)
         z = z + self.attn_s(self.norm_s(z), rope=rope_s)
         z = z + self.ffn(self.norm_f(z))

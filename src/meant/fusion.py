@@ -68,6 +68,10 @@ class ModelConfig:
             raise ContractError("at least one modality must be enabled")
         if self.pooling not in ("mean_pool", "seq_proj"):
             raise ContractError(f"unknown pooling {self.pooling!r}")
+        if self.use_image and self.d_p % (4 * self.heads):
+            # spatial attention's axial rotary splits each head in quarters
+            raise ContractError(f"d_p must be a multiple of 4 * heads = "
+                                f"{4 * self.heads} with images, got {self.d_p}")
 
     @property
     def d_t(self) -> int:

@@ -151,9 +151,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -218,19 +215,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __neg__(self):
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return Tensor._from_op(-self.data, (self,), bwd)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_data = self.data * other.data
@@ -244,49 +228,6 @@ class Tensor:
         return Tensor._from_op(out_data, (self, other), bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(
-                    -g * self.data / (other.data * other.data), other.shape))
-
-        return Tensor._from_op(out_data, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data)
-
-        return Tensor._from_op(out_data, (self,), bwd)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        return Tensor._from_op(out_data, (self,), bwd)
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(g * 0.5 / out_data)
-
-        return Tensor._from_op(out_data, (self,), bwd)
 
     # -- shape manipulation -------------------------------------------
 

@@ -20,18 +20,32 @@ CHECKPOINT_VERSION = 2
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the true class, log-sum-exp stabilized."""
+    """Mean negative log-softmax of the true class, log-sum-exp stabilized.
+
+    One graph node: backward is (softmax(logits) - onehot(labels)) / b.
+    """
     labels = np.asarray(labels)
     b = logits.shape[0]
     if labels.shape != (b,):
         raise ContractError(f"labels shape {labels.shape} != ({b},)")
     if not np.isin(labels, (0, 1)).all():
         raise ContractError("labels must be 0 or 1")
+    rows = np.arange(b)
     shift = logits.data.max(axis=-1, keepdims=True)
-    lse = Tensor(shift.squeeze(-1)) + ((logits - Tensor(shift)).exp()
-                                       .sum(axis=-1)).log()
-    true_logit = logits[np.arange(b), labels]
-    return (lse - true_logit).mean()
+    e = np.exp(logits.data - shift)
+    total = e.sum(axis=-1)
+    lse = shift.squeeze(-1) + np.log(total)
+    # sum, then scale: ndarray.mean rounds the last bit differently
+    out_data = (lse - logits.data[rows, labels]).sum() * (1.0 / b)
+
+    def bwd(g):
+        if logits.requires_grad:
+            per_row = g * (1.0 / b)
+            grad = (per_row / total)[:, None] * e
+            grad[rows, labels] -= per_row
+            logits._accumulate(grad)
+
+    return Tensor._from_op(out_data, (logits,), bwd)
 
 
 class AdamW:
@@ -198,7 +212,6 @@ class TrainConfig:
     eta_min: float = 0.0
     t0: float = 7.0
     t_mult: float = 1.0
-    schedule_unit: str = "epoch"   # {epoch, step}
     patience: int = 3
     weight_decay: float = 0.01
     seed: int = 42
@@ -215,8 +228,6 @@ class TrainConfig:
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ContractError(f"{name} must be a finite number, "
                                     f"got {value!r}")
-        if self.schedule_unit not in ("epoch", "step"):
-            raise ContractError(f"unknown schedule unit {self.schedule_unit!r}")
 
 
 def evaluate(model: MeantModel, data: dict[str, np.ndarray],
@@ -249,22 +260,16 @@ def train(model: MeantModel, train_data: dict, val_data: dict,
                                   t0=cfg.t0, t_mult=cfg.t_mult)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_data["labels"])
-    steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
 
     best_f1 = -1.0
     best_snapshot = {k: p.data.copy() for k, p in params.items()}
     stale = 0
     log: list[dict] = []
-    step = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
-        last_lr = schedule.lr(epoch if cfg.schedule_unit == "epoch"
-                              else step / steps_per_epoch)
+        lr = schedule.lr(epoch)
         for start in range(0, n, cfg.batch_size):
-            lr = schedule.lr(epoch if cfg.schedule_unit == "epoch"
-                             else step / steps_per_epoch)
-            last_lr = lr
             batch = _batch(train_data, order[start:start + cfg.batch_size])
             opt.zero_grad()
             logits = model(batch["ids"], batch["macd"], batch["images"])
@@ -277,11 +282,10 @@ def train(model: MeantModel, train_data: dict, val_data: dict,
             loss.backward()
             opt.step(lr)
             losses.append(loss.item())
-            step += 1
         report = evaluate(model, val_data, cfg.batch_size)
         log.append({
             "epoch": epoch,
-            "lr": last_lr,
+            "lr": lr,
             "train_loss": float(np.mean(losses)),
             "val": report.to_dict(),
         })
@@ -335,6 +339,16 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
         fh.write(bytes(body))
 
 
+def _json_object(record: bytes, what: str) -> dict:
+    try:
+        obj = json.loads(record)
+    except ValueError as exc:
+        raise DatasetFormatError(f"checkpoint {what} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"checkpoint {what} is not an object")
+    return obj
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     """The config, parameters and dataset binding ``save_checkpoint`` wrote."""
     with open(path, "rb") as fh:
@@ -349,11 +363,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     if version != CHECKPOINT_VERSION:
         raise DatasetFormatError(f"unsupported checkpoint version {version}")
     cfg_len, = struct.unpack_from("<I", blob, off); off += 4
-    config = ModelConfig.from_dict(json.loads(blob[off:off + cfg_len])); off += cfg_len
+    config = ModelConfig.from_dict(
+        _json_object(blob[off:off + cfg_len], "config")); off += cfg_len
     bind_len, = struct.unpack_from("<I", blob, off); off += 4
-    binding = json.loads(blob[off:off + bind_len]); off += bind_len
-    if not isinstance(binding, dict):
-        raise DatasetFormatError("checkpoint dataset binding is not an object")
+    binding = _json_object(blob[off:off + bind_len], "dataset binding")
+    off += bind_len
     count, = struct.unpack_from("<I", blob, off); off += 4
     params = {}
     for _ in range(count):

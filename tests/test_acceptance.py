@@ -188,6 +188,7 @@ def test_criterion_6_gradient_suite():
     tokens = Tensor(rng.normal(size=(3, 1, 24, 6)))
     padded = (np.arange(24) < np.array([[3], [11], [20]]))[:, None, None, :]
     probe_att = Tensor(rng.normal(size=(3, 1, 24, 6)))
+    labels = np.array([0, 1, 1])
     op_fns = {
         "matmul": lambda t: matmul(t.reshape(2, 3), fixed).sum(),
         "softmax": lambda t: (softmax_last_dim(t.reshape(2, 3)) * probe).sum()
@@ -195,8 +196,9 @@ def test_criterion_6_gradient_suite():
         "gelu": lambda t: gelu(t).sum() + 3.0 * t.sum(),
         "layer_norm": lambda t: layer_norm(t.reshape(1, 6), gain,
                                            bias).sum() + 2.0 * t.sum(),
-        "exp_log_sqrt": lambda t: ((t * t + 1.0).sqrt().log().exp()).sum(),
-        "mean_sub_div": lambda t: (t.mean() - (t / 3.0).sum()).reshape(),
+        "cross_entropy": lambda t: cross_entropy(t.reshape(3, 2), labels)
+        + 2.0 * t.sum(),
+        "mean": lambda t: (t * t).reshape(2, 3).mean(axis=-1).sum(),
         "padded_attention": lambda t: (attention(
             *(tokens * t,) * 3, 0.5, padded) * probe_att).sum() + 2.0 * t.sum(),
     }

@@ -110,9 +110,10 @@ class TestBuildDataset:
 
     def test_bad_split_exits_one(self, workspace, tmp_path, capsys):
         # two fractions; fractions not summing to 1; dates out of order;
-        # a split that leaves the training part empty
+        # a split that leaves the training part empty; NaN fractions
         for split in ("0.5,0.5", "0.5,0.3,0.3", "2022-06-14,2022-04-19",
-                      "2000-01-03,2000-02-01"):
+                      "2000-01-03,2000-02-01", "0.8,0.1,nan", "nan,0.5,0.5",
+                      "0.8,nan,0.1"):
             out = tmp_path / "ds"
             rc = main(build_args(workspace["prices"], workspace["tweets"], out)
                       + ["--split", split])
@@ -164,11 +165,15 @@ class TestTrain:
         assert again.model["d_l"] == 8
 
     def test_bad_config_exits_one(self, workspace, tmp_path, capsys):
-        # an unknown key, one retired from ModelConfig, and bad values
-        for model in ({"wings": 2}, {"use_pad_mask": 2}, {"norm_mode": 2},
-                      {"heads": 0}, {"d_l": "8"}):
+        # an unknown key, keys retired from ModelConfig and TrainConfig,
+        # and bad values
+        for model, train in (({"wings": 2}, {}), ({"use_pad_mask": 2}, {}),
+                             ({"norm_mode": 2}, {}), ({"heads": 0}, {}),
+                             ({"d_l": "8"}, {}),
+                             ({}, {"schedule_unit": "step"})):
             bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES, **model}}))
+            bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES, **model},
+                                       "train": train}))
             rc = main(["train", "--config", str(bad),
                        "--data", str(workspace["data"]), "--out", str(tmp_path)])
             assert rc == 1

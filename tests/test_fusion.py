@@ -43,7 +43,8 @@ class TestModelConfig:
         {"heads": 0}, {"temporal_heads": 0}, {"d_l": "8"}, {"lag": 0},
         {"mlp_ratio": 0}, {"seq_len": -1}, {"vocab_size": True},
         {"patch_size": 4.0}, {"pad_id": 12}, {"pad_id": -1},
-        {"pad_id": None}, {"use_text": 1}, {"lang_pos": "bogus"}])
+        {"pad_id": None}, {"use_text": 1}, {"lang_pos": "bogus"},
+        {"d_p": 12}])
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ContractError, match=next(iter(bad))):
             ModelConfig(**{**TOY_MODEL, **bad})

@@ -1,4 +1,6 @@
 import ctypes
+import inspect
+import itertools
 import math
 import resource
 
@@ -8,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import padded_days, toy_batch, toy_model
+from meant import tensor
+from meant.cli import _op_checks
 from meant.errors import ContractError, DimensionError, NumericError
 from meant.fusion import MeantModel, ModelConfig
 from meant.tensor import (Tensor, _key_groups, attention, gelu, grad_check,
@@ -182,11 +187,7 @@ class TestGradCheck:
         labels = np.array([0, 1, 1])
 
         def f(x):
-            logits = matmul(gelu(matmul(x, w1)), w2)
-            shift = Tensor(logits.data.max(axis=-1, keepdims=True))
-            lse = ((logits - shift).exp().sum(axis=-1)).log() + shift.reshape(3)
-            true = logits[np.arange(3), labels]
-            return (lse - true).mean()
+            return cross_entropy(matmul(gelu(matmul(x, w1)), w2), labels)
 
         assert grad_check(f, Tensor(rng.normal(size=(3, 4)))) < 1e-4
 
@@ -473,3 +474,62 @@ def test_grad_check_covers_every_input():
     def detached(a, b):
         return (a * Tensor(b.data)).sum() + (b * 0.0).sum()
     assert grad_check(detached, a, b) > 0.1
+
+
+# the op each ``meant gradcheck`` line checks, for every op the model runs
+# that is not a shape op; + and * and sum build every line's scalar
+GRADCHECK_LINE = {
+    "Tensor.__add__": "padded_attn", "Tensor.__mul__": "matmul",
+    "Tensor.sum": "matmul", "attention": "attention",
+    "cross_entropy": "cross_entropy", "embedding_lookup": "gather",
+    "gelu": "gelu", "layer_norm": "layer_norm", "matmul": "matmul",
+    "rotate_pairs": "rotary",
+}
+SHAPE_OPS = {"Tensor.__getitem__", "Tensor.reshape", "Tensor.swapaxes",
+             "Tensor.transpose", "concat"}
+
+
+def graph_ops(loss: Tensor) -> set[str]:
+    """The op behind every node of ``loss``'s graph, named by the function
+    whose backward closure the node holds."""
+    ops, seen, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            ops.add(node._backward.__qualname__.split(".<locals>")[0])
+        stack.extend(node._parents)
+    return ops
+
+
+def test_model_runs_a_pinned_op_set():
+    ops = set()
+    combos = [c for c in itertools.product((True, False), repeat=3) if any(c)]
+    for pooling in ("mean_pool", "seq_proj"):
+        for lang_pos in ("xpos", "rotary", "none"):
+            for text, image, price in combos:
+                model = toy_model(pooling=pooling, lang_pos=lang_pos,
+                                  use_text=text, use_image=image,
+                                  use_price=price)
+                batch = toy_batch(model.config)
+                ids = padded_days(model.config, (2, model.config.lag))
+                logits = model(ids if text else None,
+                               batch["macd"] if price else None,
+                               batch["images"] if image else None)
+                ops |= graph_ops(cross_entropy(logits, batch["labels"]))
+    assert ops == set(GRADCHECK_LINE) | SHAPE_OPS
+
+    lines = {name for name, _ in _op_checks(np.random.default_rng(7))}
+    assert set(GRADCHECK_LINE.values()) <= lines
+
+    def has_backward(fn):
+        return any(getattr(c, "co_name", None) == "bwd"
+                   for c in fn.__code__.co_consts)
+
+    defined = {f.__qualname__
+               for f in [*vars(tensor).values(), *vars(Tensor).values()]
+               if inspect.isfunction(f) and f.__module__ == tensor.__name__
+               and has_backward(f)}
+    assert defined - ops == {"softmax_last_dim"}

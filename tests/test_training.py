@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from conftest import toy_batch, toy_model
 from meant.errors import ContractError, DatasetFormatError, NumericError
 from meant.tensor import Tensor
-from meant.training import (AdamW, CosineWarmRestarts, TrainConfig,
+from meant.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, AdamW,
+                            CosineWarmRestarts, TrainConfig,
                             compute_metrics, cross_entropy, evaluate,
                             load_checkpoint, restore_model, save_checkpoint,
                             train, windows_to_arrays)
@@ -253,22 +256,11 @@ class TestTrainLoop:
         for name, p in model.params().items():
             assert np.array_equal(p.data, snapshot[name])
 
-    def test_step_schedule_unit(self):
-        model, data = tiny_problem(n=16)
-        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-3,
-                          schedule_unit="step", seed=4)
-        _, log = train(model, data, data, cfg)
-        assert log[0]["lr"] < 1e-3  # decays within the first epoch
-
     def test_empty_split_rejected(self):
         model, data = tiny_problem()
         empty = {k: (v[:0] if v is not None else None) for k, v in data.items()}
         with pytest.raises(ContractError):
             train(model, empty, data, TrainConfig(epochs=1))
-
-    def test_unknown_schedule_unit(self):
-        with pytest.raises(ContractError):
-            TrainConfig(schedule_unit="batch")
 
     @pytest.mark.parametrize("name,value", [
         ("epochs", 0), ("batch_size", -2), ("patience", 0), ("seed", -1),
@@ -346,6 +338,19 @@ class TestCheckpoint:
         path = tmp_path / "junk"
         path.write_bytes(b"hello world, definitely not a model")
         with pytest.raises(DatasetFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("record", [b"[]", b"{not json", b"\xff"],
+                             ids=["list", "not_json", "not_utf8"])
+    def test_malformed_config_record(self, tmp_path, record):
+        # a well-sealed file whose config record is not a JSON object
+        body = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+        for rec in (record, b'{"tokenizer_crc32":1}'):
+            body += struct.pack("<I", len(rec)) + rec
+        body += struct.pack("<I", 0)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(DatasetFormatError, match="config"):
             load_checkpoint(path)
 
     def test_missing_parameter_detected(self, tmp_path):
