@@ -15,19 +15,6 @@ from .tensor import no_grad
 from .training import cross_entropy
 
 
-def perturb_params(model: MeantModel, scale: float = 0.3, seed: int = 0) -> None:
-    """Re-sample parameters at a larger scale.
-
-    Near the zero-centered init many attention gradients are ~1e-8, small
-    enough that finite-difference roundoff noise dominates any relative
-    error; checking at a generic, better-conditioned point avoids that
-    without weakening the comparison.
-    """
-    rng = np.random.default_rng(seed)
-    for p in model.params().values():
-        p.data = rng.normal(0.0, scale, size=p.shape)
-
-
 def model_grad_check(model: MeantModel, batch: dict, step: float = 1e-5,
                      max_coords: int = 30, seed: int = 0) -> dict[str, float]:
     """Max relative error per parameter tensor for the classification loss."""

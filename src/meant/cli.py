@@ -22,8 +22,8 @@ from .errors import ConfigError, ContractError, DatasetFormatError, NumericError
 from .fusion import MeantModel, ModelConfig
 from .graphs import GraphSpec, encode_graph_blob, render_macd_graph, write_ppm
 from .indicators import compute_macd, load_prices_csv
-from .tensor import (Tensor, attention, embedding_lookup, grad_check, gelu,
-                     layer_norm, matmul, rotate_pairs, softmax_last_dim)
+from .tensor import (Tensor, attention, grad_check, gelu, layer_norm, matmul,
+                     rotate_pairs, softmax_last_dim)
 from .tokenizer import TokenizerSpec, build_vocab
 from .training import (cross_entropy, dataset_binding, evaluate,
                        restore_model, save_checkpoint, train, truncate_lag,
@@ -202,6 +202,9 @@ ABLATION_VARIANTS = {
 def cmd_ablate(args) -> int:
     run = RunConfig.from_file(args.config)
     names = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not names:
+        raise ConfigError(f"--variants names no variant; "
+                          f"valid: {sorted(ABLATION_VARIANTS)}")
     bad = [n for n in names if n not in ABLATION_VARIANTS]
     if bad:
         raise ConfigError(f"unknown variants {bad}; "
@@ -294,7 +297,7 @@ def _op_checks(rng: np.random.Generator):
     rows = np.array([[2, 0, 2], [1, 2, 2]])
     probe_rows = rng.normal(size=(2, 3, 4))
     yield "gather", grad_check(
-        lambda x: (embedding_lookup(gelu(x), rows) * Tensor(probe_rows)).sum(),
+        lambda x: (gelu(x)[rows] * Tensor(probe_rows)).sum(),
         Tensor(rng.normal(size=(3, 4))))
     yield "cross_entropy", grad_check(
         lambda x: cross_entropy(x, np.array([0, 1, 1])) + 2.0 * x.sum(),

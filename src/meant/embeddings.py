@@ -7,10 +7,12 @@ folded in) are constants.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, embedding_lookup, matmul, rotate_pairs
+from .tensor import Tensor, rotate_pairs
 
 ROTARY_BASE = 10000.0
 XPOS_GAMMA = 0.4
@@ -21,7 +23,11 @@ XPOS_SCALE_BASE = 512.0
 
 def token_embed(ids: np.ndarray, table: Tensor) -> Tensor:
     """Row lookup producing a trailing embedding axis."""
-    return embedding_lookup(table, np.asarray(ids, dtype=np.int64))
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(
+            f"token id out of range for table with {table.shape[0]} rows")
+    return table[ids]
 
 
 def extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
@@ -37,14 +43,12 @@ def extract_patches(images: np.ndarray, patch_size: int) -> np.ndarray:
     return x.reshape(*lead, gh * gw, c * p * p)
 
 
-def patch_embed(images: np.ndarray, weight: Tensor, bias: Tensor,
+def patch_embed(images: np.ndarray, proj: Callable[[Tensor], Tensor],
                 patch_size: int) -> Tensor:
-    """Linear projection of non-overlapping patches into token vectors."""
-    flat = extract_patches(np.asarray(images, dtype=np.float64), patch_size)
-    if weight.shape[0] != flat.shape[-1]:
-        raise DimensionError(
-            f"patch weight rows {weight.shape[0]} != flat patch {flat.shape[-1]}")
-    return matmul(Tensor(flat), weight) + bias
+    """Non-overlapping patches projected into token vectors by the linear
+    layer ``proj``."""
+    return proj(Tensor(extract_patches(np.asarray(images, dtype=np.float64),
+                                       patch_size)))
 
 
 # -- rotary family -----------------------------------------------------

@@ -95,21 +95,16 @@ class MultiHeadAttention:
         b, n, _ = x.shape
         return x.reshape(b, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def project(self, x_q: Tensor, x_kv: Tensor, rope=None):
-        """Per-head q from ``x_q`` and k, v from ``x_kv``; ``rope(q, k)``
-        rotates q and k."""
+    def attend(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
+               rope=None) -> Tensor:
+        """Queries from ``x_q`` (b, n_q, dim) attend keys from ``x_kv``
+        (b, n_k, dim); ``mask`` (b, n_k) is True for visible keys and
+        ``rope(q, k)`` rotates the per-head q and k."""
         q = self._split(self.wq(x_q))
         k = self._split(self.wk(x_kv))
         v = self._split(self.wv(x_kv))
         if rope is not None:
             q, k = rope(q, k)
-        return q, k, v
-
-    def attend(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
-               rope=None) -> Tensor:
-        """Queries from ``x_q`` (b, n_q, dim) attend keys from ``x_kv``
-        (b, n_k, dim); ``mask`` (b, n_k) is True for visible keys."""
-        q, k, v = self.project(x_q, x_kv, rope)
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)[:, None, None, :]
         out = attention(q, k, v, self.scale, mask)
@@ -255,10 +250,8 @@ class VisionPipeline:
             raise DimensionError(f"image {h}x{w} not divisible by patch {p}")
         self.grid = (h // p, w // p)
         self.n_p = self.grid[0] * self.grid[1]
-        self.proj_w = Tensor(rng.normal(0.0, INIT_STD,
-                                        size=(config.channels * p * p, config.d_p)),
-                             requires_grad=True)
-        self.proj_b = Tensor(np.zeros(config.d_p), requires_grad=True)
+        self.patch = Linear(rng, config.channels * p * p, config.d_p,
+                            "vision.patch")
         out_scale = 1.0 / math.sqrt(2.0 * config.vision_depth)
         self.blocks = [DividedSpaceTimeBlock(rng, config.d_p, config.heads,
                                              config.mlp_ratio,
@@ -267,13 +260,13 @@ class VisionPipeline:
 
     def __call__(self, images: np.ndarray) -> Tensor:
         b, l = images.shape[:2]
-        x = patch_embed(images, self.proj_w, self.proj_b, self.config.patch_size)
+        x = patch_embed(images, self.patch, self.config.patch_size)
         for block in self.blocks:
             x = block(x, self.grid)
         return x.reshape(b, l * self.n_p, self.config.d_p)
 
     def params(self) -> dict[str, Tensor]:
-        out = {"vision.patch.weight": self.proj_w, "vision.patch.bias": self.proj_b}
+        out = self.patch.params()
         for blk in self.blocks:
             out.update(blk.params())
         return out

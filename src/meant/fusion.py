@@ -15,8 +15,7 @@ import numpy as np
 from .encoders import (INIT_STD, FeedForward, LanguagePipeline, LayerNorm,
                        Linear, MultiHeadAttention, VisionPipeline, _merge)
 from .errors import ContractError, DimensionError
-from .tensor import (Tensor, attention_weights, concat, embedding_lookup, gelu,
-                     matmul)
+from .tensor import Tensor, concat, gelu, matmul
 
 MACD_WIDTH = 5
 
@@ -107,7 +106,7 @@ class SequenceProjection:
 
     def __init__(self, rng, seq_len: int, dim: int, name: str):
         self.seq_len = seq_len
-        self.weight = Tensor(rng.normal(0.0, INIT_STD, size=(seq_len, 1)),
+        self.weight = Tensor(rng.normal(0.0, INIT_STD, size=(1, seq_len)),
                              requires_grad=True)
         self.norm = LayerNorm(dim, f"{name}.norm")
         self.name = name
@@ -116,8 +115,7 @@ class SequenceProjection:
         if seq.shape[-2] != self.seq_len:
             raise DimensionError(
                 f"expected sequence axis {self.seq_len}, got {seq.shape[-2]}")
-        x = seq.swapaxes(-1, -2)             # (..., d, s)
-        projected = matmul(x, self.weight)   # (..., d, 1)
+        projected = matmul(self.weight, seq)   # (..., 1, d)
         squeezed = projected.reshape(*seq.shape[:-2], seq.shape[-1])
         return gelu(self.norm(squeezed))
 
@@ -162,12 +160,6 @@ class QueryTargetAttention(MultiHeadAttention):
         out = self.attend(target, fused) + target
         out = out + self.ffn(self.ffn_norm(out))
         return out.reshape(b, d)
-
-    def attention_weights(self, fused: Tensor) -> np.ndarray:
-        """The softmax row over lag days (diagnostics and tests)."""
-        l = fused.shape[1]
-        q, k, _ = self.project(fused[:, l - 1:l, :], fused)
-        return attention_weights(q.data, k.data, self.scale)
 
     def params(self) -> dict[str, Tensor]:
         return _merge(self.wq, self.wk, self.wv, self.wo, self.ffn_norm,
@@ -256,8 +248,8 @@ class MeantModel:
                 l_out = self.language(days[None])
                 pooled = (mean_pool(l_out) if self.pool is None
                           else self.pool(l_out))
-                l_seq = embedding_lookup(pooled.reshape(len(days), c.d_l),
-                                         inverse.reshape(len(ids), c.lag))
+                l_seq = pooled.reshape(len(days), c.d_l)[
+                    inverse.reshape(len(ids), c.lag)]
             m_in = None
             if c.use_price:
                 m_in = Tensor(np.asarray(macd, dtype=np.float64))

@@ -254,16 +254,9 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), bwd)
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        out_data = self.data.swapaxes(a, b)
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(g.swapaxes(a, b))
-
-        return Tensor._from_op(out_data, (self,), bwd)
-
     def __getitem__(self, key) -> "Tensor":
+        """Slice or integer-array gather; backward scatter-adds, so rows
+        gathered more than once sum their gradients."""
         out_data = self.data[key]
 
         def bwd(g):
@@ -561,24 +554,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
                 t._accumulate(gt)
 
     return Tensor._from_op(out_data, parts, bwd)
-
-
-def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]`` with scatter-add backward."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(
-            f"token id out of range for table with {table.shape[0]} rows")
-    out_data = table.data[ids]
-
-    def bwd(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids.reshape(-1),
-                      g.reshape(-1, table.shape[1]))
-            table._accumulate(full)
-
-    return Tensor._from_op(out_data, (table,), bwd)
 
 
 def grad_check(f: Callable[..., Tensor], *inputs: Tensor,

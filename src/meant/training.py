@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LagWindow
+from .dataset import LagWindow, _json_bytes
 from .errors import ContractError, DatasetFormatError, NumericError
 from .fusion import MeantModel, ModelConfig
 from .tensor import Tensor, no_grad
@@ -305,17 +305,12 @@ def train(model: MeantModel, train_data: dict, val_data: dict,
 # -- checkpoints -------------------------------------------------------
 
 
-def _json_record(obj) -> bytes:
-    """Canonical JSON: sorted keys, no spaces, UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def dataset_binding(manifest: dict) -> dict:
     """CRC32s of the canonical JSON of a dataset manifest's tokenizer and
     MACD normalization. A checkpoint records them, so that ``eval`` refuses
     a dataset whose ids or features mean something else, even at the same
     vocabulary size."""
-    return {f"{key}_crc32": zlib.crc32(_json_record(manifest[key]))
+    return {f"{key}_crc32": zlib.crc32(_json_bytes(manifest[key]))
             for key in ("tokenizer", "normalization")}
 
 
@@ -326,7 +321,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
     body = bytearray()
     body += CHECKPOINT_MAGIC
     body += struct.pack("<I", CHECKPOINT_VERSION)
-    for record in (_json_record(config.to_dict()), _json_record(binding)):
+    for record in (_json_bytes(config.to_dict()), _json_bytes(binding)):
         body += struct.pack("<I", len(record)) + record
     body += struct.pack("<I", len(params))
     for name in sorted(params):
@@ -358,24 +353,34 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     crc_stored, = struct.unpack("<I", blob[-4:])
     if zlib.crc32(blob[:-4]) != crc_stored:
         raise DatasetFormatError("checkpoint checksum mismatch")
-    off = 4
-    version, = struct.unpack_from("<I", blob, off); off += 4
+    off, end = 4, len(blob) - 4
+
+    def take(n: int) -> bytes:
+        # every length comes from the file, so bound it by the file
+        nonlocal off
+        if n > end - off:
+            raise DatasetFormatError("checkpoint is truncated")
+        off += n
+        return blob[off - n:off]
+
+    def number(fmt: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    version = number("<I")
     if version != CHECKPOINT_VERSION:
         raise DatasetFormatError(f"unsupported checkpoint version {version}")
-    cfg_len, = struct.unpack_from("<I", blob, off); off += 4
-    config = ModelConfig.from_dict(
-        _json_object(blob[off:off + cfg_len], "config")); off += cfg_len
-    bind_len, = struct.unpack_from("<I", blob, off); off += 4
-    binding = _json_object(blob[off:off + bind_len], "dataset binding")
-    off += bind_len
-    count, = struct.unpack_from("<I", blob, off); off += 4
+    config = ModelConfig.from_dict(_json_object(take(number("<I")), "config"))
+    binding = _json_object(take(number("<I")), "dataset binding")
     params = {}
-    for _ in range(count):
-        name_len, = struct.unpack_from("<I", blob, off); off += 4
-        name = blob[off:off + name_len].decode("utf-8"); off += name_len
-        size, = struct.unpack_from("<Q", blob, off); off += 8
-        params[name] = np.frombuffer(blob, dtype="<f8", count=size,
-                                     offset=off).copy(); off += 8 * size
+    for _ in range(number("<I")):
+        try:
+            name = take(number("<I")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"checkpoint parameter name: {exc}") from exc
+        params[name] = np.frombuffer(take(8 * number("<Q")), dtype="<f8").copy()
+    if off != end:
+        raise DatasetFormatError(f"checkpoint has {end - off} bytes after "
+                                 f"its last parameter")
     return config, params, binding
 
 

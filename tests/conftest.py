@@ -6,6 +6,7 @@ from meant.fusion import MeantModel, ModelConfig
 from meant.graphs import GraphSpec
 from meant.indicators import compute_macd
 from meant.synthetic import make_sine_prices, make_tweets
+from meant.tensor import attention_weights
 from meant.tokenizer import build_vocab
 
 TOY_MODEL = dict(vocab_size=12, seq_len=4, lag=2, d_l=8, d_p=8, heads=2,
@@ -64,3 +65,12 @@ def padded_days(config: ModelConfig, shape: tuple[int, ...], seed=0) -> np.ndarr
     lengths = rng.integers(1, config.seq_len + 1, size=shape)
     ids[np.arange(config.seq_len) >= lengths[..., None]] = config.pad_id
     return ids
+
+
+def target_weights(qta, fused) -> np.ndarray:
+    """The softmax row over lag days of a ``QueryTargetAttention``, from its
+    own q and k projections: the target (last) day queries every day."""
+    l = fused.shape[1]
+    q = qta._split(qta.wq(fused[:, l - 1:l, :])).data
+    k = qta._split(qta.wk(fused)).data
+    return attention_weights(q, k, qta.scale)

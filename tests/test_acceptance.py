@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import padded_days, toy_batch, toy_model
-from meant.checks import model_grad_check, perturb_params
+from conftest import padded_days, target_weights, toy_batch, toy_model
+from meant.checks import model_grad_check
 from meant.dataset import build_lag_windows, load_dataset, save_dataset, stocknet_label
 from meant.encoders import VisionPipeline
 from meant.fusion import (ModelConfig, QueryTargetAttention,
@@ -177,6 +177,19 @@ def test_criterion_5_shape_contracts():
              f"({elapsed:.2f}s)", ok and elapsed < 1.0)
 
 
+def perturb_params(model, scale: float = 0.3, seed: int = 0) -> None:
+    """Re-sample parameters at a larger scale.
+
+    Near the zero-centered init many attention gradients are ~1e-8, small
+    enough that finite-difference roundoff noise dominates any relative
+    error; checking at a generic, better-conditioned point avoids that
+    without weakening the comparison.
+    """
+    rng = np.random.default_rng(seed)
+    for p in model.params().values():
+        p.data = rng.normal(0.0, scale, size=p.shape)
+
+
 def test_criterion_6_gradient_suite():
     start = time.monotonic()
     rng = np.random.default_rng(6)
@@ -243,7 +256,7 @@ def test_criterion_7_temporal_attention_properties():
     ok = ok and np.max(np.abs(qta(Tensor(y)).data
                               - qta(Tensor(y[:, perm, :])).data)) < 1e-10
 
-    weights = qta.attention_weights(Tensor(rng.normal(size=(3, 5, 8))))
+    weights = target_weights(qta, Tensor(rng.normal(size=(3, 5, 8))))
     ok = ok and np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-12
     _verdict(7, "temporal attention: l=1 exactness, permutation "
              "invariance, weights sum to 1", ok)

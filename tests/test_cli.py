@@ -288,6 +288,33 @@ class TestEval:
         assert rc == 1
         assert "temporal_ffn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", ["header", "name", "parameter", "trailing",
+                                     "name_not_utf8"])
+    def test_malformed_checkpoint_exits_one(self, workspace, trained, tmp_path,
+                                            capsys, cut):
+        # cut a valid checkpoint inside the parameter count, the first
+        # parameter's name or its values, add a byte after the last
+        # parameter, or break the name's UTF-8; the CRC is recomputed so
+        # only the records are wrong
+        body = (trained / "model.ckpt").read_bytes()[:-4]
+        off = 8
+        for _ in range(2):                  # config and dataset binding
+            length, = struct.unpack_from("<I", body, off)
+            off += 4 + length
+        name_len, = struct.unpack_from("<I", body, off + 4)
+        name_at = off + 8
+        body = {"header": body[:off + 2],
+                "name": body[:name_at + name_len // 2],
+                "parameter": body[:name_at + name_len + 8 + 12],
+                "trailing": body + b"\0",
+                "name_not_utf8": body[:name_at] + b"\xff" + body[name_at + 1:]}[cut]
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["eval", "--checkpoint", str(path),
+                   "--data", str(workspace["data"]), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_checkpoint_lag_beyond_dataset_exits_one(self, workspace,
                                                      tmp_path, capsys):
         manifest = json.loads((workspace["data"] / "manifest.json").read_text())
@@ -422,6 +449,15 @@ class TestAblate:
                    "--variants", "full,quantum", "--out", str(tmp_path)])
         assert rc == 1
         assert "quantum" in capsys.readouterr().err
+
+    def test_empty_variant_list_exits_one(self, workspace, tmp_path, capsys):
+        # rejected before the dataset is read: --data names no directory
+        rc = main(["ablate", "--config", str(workspace["config"]),
+                   "--data", str(tmp_path / "missing"),
+                   "--variants", " , ", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "no variant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_variant_catalog_complete(self):
         assert {"full", "tweet-price", "vision-price", "price-only",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from meant.embeddings import (apply_axial_rotary_2d, apply_rotary, apply_xpos,
                               extract_patches, patch_embed, token_embed,
                               xpos_scales)
-from meant.encoders import VisionPipeline
+from meant.encoders import Linear, VisionPipeline
 from meant.errors import DimensionError
 from meant.fusion import MeantModel, ModelConfig
 from meant.tensor import Tensor, grad_check, matmul
@@ -14,6 +14,13 @@ from meant.tensor import Tensor, grad_check, matmul
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def linear(weight: np.ndarray, bias: np.ndarray) -> Linear:
+    """A ``Linear`` layer holding ``weight`` and ``bias``."""
+    layer = Linear(np.random.default_rng(0), *weight.shape, "patch")
+    layer.weight, layer.bias = Tensor(weight), Tensor(bias)
+    return layer
 
 
 class TestTokenEmbed:
@@ -72,23 +79,22 @@ class TestPatches:
         assert flat.shape == (2, 5, 4, 48)
 
     def test_patch_embed_linear_in_pixels(self):
-        w = Tensor(rand((3 * 4 * 4, 6), seed=2))
-        b = Tensor(rand(6, seed=3))
-        zero = patch_embed(np.zeros((3, 8, 8)), w, b, 4)
-        assert np.allclose(zero.data, np.broadcast_to(b.data, (4, 6)))
+        b = rand(6, seed=3)
+        proj = linear(rand((3 * 4 * 4, 6), seed=2), b)
+        zero = patch_embed(np.zeros((3, 8, 8)), proj, 4)
+        assert np.allclose(zero.data, np.broadcast_to(b, (4, 6)))
         a, c = rand((3, 8, 8), 4), rand((3, 8, 8), 5)
-        lhs = patch_embed(a + c, w, b, 4).data
-        rhs = (patch_embed(a, w, b, 4).data
-               + patch_embed(c, w, b, 4).data - b.data)
+        lhs = patch_embed(a + c, proj, 4).data
+        rhs = (patch_embed(a, proj, 4).data
+               + patch_embed(c, proj, 4).data - b)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_patch_embed_invertible_when_overcomplete(self):
         # with dim >= c*P*P a full-rank projection loses no pixels
-        w = Tensor(rand((4, 8), seed=6))
-        b = Tensor(np.zeros(8))
+        w = rand((4, 8), seed=6)
         img = rand((1, 4, 4), seed=7)
-        out = patch_embed(img, w, b, 2).data
-        back = out @ np.linalg.pinv(w.data)
+        out = patch_embed(img, linear(w, np.zeros(8)), 2).data
+        back = out @ np.linalg.pinv(w)
         assert np.max(np.abs(back - extract_patches(img, 2))) < 1e-9
 
 
@@ -226,7 +232,7 @@ def test_rotation_grad_check(rope):
 
     def scores(q, k):
         qr, kr = rope(q, k)
-        return (matmul(qr, kr.swapaxes(-1, -2)) * probe).sum()
+        return (matmul(qr, kr.transpose(0, 2, 1)) * probe).sum()
 
     assert grad_check(scores, Tensor(rand((2, 4, 8))),
                       Tensor(rand((2, 4, 8), seed=1))) < 1e-6

@@ -57,7 +57,8 @@ class TestMultiHeadAttention:
         mask = np.arange(s)[None, :] < real
         rope = lambda q, k: apply_xpos(q, k, np.arange(s))
         out = mha(Tensor(x), mask=mask, rope=rope).data
-        q, k, _ = mha.project(Tensor(x), Tensor(x), rope=rope)
+        q, k = rope(mha._split(mha.wq(Tensor(x))),
+                    mha._split(mha.wk(Tensor(x))))
         logits = q.data @ np.swapaxes(k.data, -1, -2) * mha.scale
         assert np.max(np.abs(logits)) < 1.0
         x[:, real:] = rng_(11).normal(size=(1, s - real, 32))
@@ -178,8 +179,8 @@ class TestVisionPipeline:
     def test_patch_projection_follows_config(self):
         # one c*P*P pixel row per patch in, one d_p token out
         pipe = self.make(dim=8, patch=4)
-        assert pipe.proj_w.shape == (3 * 4 * 4, 8)
-        assert pipe.proj_b.shape == (8,)
+        assert pipe.patch.weight.shape == (3 * 4 * 4, 8)
+        assert pipe.patch.bias.shape == (8,)
 
     def test_frame_order_matters(self):
         pipe = self.make()
@@ -192,5 +193,5 @@ class TestVisionPipeline:
         pipe = self.make()
         images = rng_(4).random((1, 2, 3, 8, 8))
         pipe(images).sum().backward()
-        assert pipe.proj_w.grad is not None
-        assert np.any(pipe.proj_w.grad != 0)
+        assert pipe.patch.weight.grad is not None
+        assert np.any(pipe.patch.weight.grad != 0)

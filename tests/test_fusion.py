@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import TOY_MODEL, padded_days, toy_batch, toy_model
+from conftest import (TOY_MODEL, padded_days, target_weights, toy_batch,
+                      toy_model)
 from meant.errors import ContractError, DimensionError
 from meant.fusion import (MeantModel, ModelConfig, QueryTargetAttention,
                           SequenceProjection, fuse_price, mean_pool)
@@ -124,7 +125,7 @@ class TestQueryTargetAttention:
     def test_weights_sum_to_one(self):
         qta = QueryTargetAttention(rng_(14), 8, heads=2)
         fused = Tensor(rng_(15).normal(size=(3, 5, 8)))
-        w = qta.attention_weights(fused)
+        w = target_weights(qta, fused)
         assert w.shape == (3, 2, 1, 5)
         assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
 
@@ -143,7 +144,7 @@ class TestQueryTargetAttention:
         # FFN sub-layer
         qta = QueryTargetAttention(rng_(30), 8, heads=2)
         fused = Tensor(rng_(31).normal(size=(2, 4, 8)))
-        w = qta.attention_weights(fused)
+        w = target_weights(qta, fused)
         v = qta._split(qta.wv(fused)).data
         mixed = (w @ v).transpose(0, 2, 1, 3).reshape(2, 1, 8)
         h = qta.wo(Tensor(mixed)) + fused[:, 3:4, :]
