@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end desk-scale experiment: synthesize data, build the lag-window
-dataset, train a small model, evaluate it, and run a few ablations.
+dataset, train a small model, evaluate it, run a few ablations and render
+one ticker's last chart.
 
 Everything runs on one CPU core in a couple of minutes.
 """
@@ -61,8 +62,12 @@ def main() -> int:
          "--out", str(work / "eval")])
     run(["ablate", "--config", str(config), "--data", str(work / "dataset"),
          "--variants", args.variants, "--out", str(work / "ablation")])
+    run(["render-graphs", "--prices", str(work / "data" / "prices.csv"),
+         "--ticker", "AAA", "--out", str(work / "charts"),
+         "--graph-size", "32"])
 
-    print(f"\nartifacts under {work}/: dataset/, run/, eval/, ablation/")
+    print(f"\nartifacts under {work}/: dataset/, run/, eval/, ablation/, "
+          f"charts/")
     return 0
 
 

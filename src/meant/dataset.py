@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,7 +173,7 @@ def _windows_for_ticker(ticker: str, prices: PriceSeries, by_day, lag: int,
 
 
 def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
-                      lag: int = 5, tokenizer: TokenizerSpec | None = None,
+                      lag: int = 5, *, tokenizer: TokenizerSpec,
                       graph: GraphSpec | None = None,
                       label_mode: str = "crossover",
                       min_tweets_per_day: int = 1,
@@ -184,8 +185,6 @@ def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
     and windows with a tweetless lag day are discarded. The output order
     is (ticker, target_date).
     """
-    if tokenizer is None:
-        raise ContractError("a tokenizer spec is required")
     if graph is None:
         graph = GraphSpec()
     if lag < 1:
@@ -327,12 +326,13 @@ def save_dataset(windows: list[LagWindow], out_dir, tokenizer: TokenizerSpec,
 
 
 def _check_manifest(manifest) -> None:
-    """The manifest is an object of this version, with object-valued
-    ``split`` and ``normalization`` (a ``mean`` and a ``std`` list), an
-    integer ``count`` and ``seq_len``, an integer ``lag`` (null when there
-    is no window), ``image_shape`` null or three positive integers, and a
-    ``tokenizer`` object whose ``vocab`` maps words to integer ids. Types
-    only: the values are checked where they are used."""
+    """The manifest is an object of this version, with an object-valued
+    ``split``, a ``normalization`` whose ``mean`` and ``std`` are 5 finite
+    numbers each (every ``std`` > 0), an integer ``count`` and ``seq_len``,
+    an integer ``lag`` (null when there is no window), ``image_shape`` null
+    or three positive integers, and a ``tokenizer`` object whose ``vocab``
+    maps words to integer ids. ``load_dataset`` checks each window against
+    it; the other values are checked where they are used."""
     if not isinstance(manifest, dict):
         raise DatasetFormatError("manifest.json: not a JSON object")
     if manifest.get("version") != DATASET_VERSION:
@@ -345,9 +345,13 @@ def _check_manifest(manifest) -> None:
             raise DatasetFormatError(f"manifest.json: {key!r} missing or "
                                      f"of the wrong type")
     norm = manifest["normalization"]
-    if not all(isinstance(norm.get(k), list) for k in ("mean", "std")):
+    if not (all(isinstance(norm.get(k), list) and len(norm[k]) == 5
+                and all(type(v) in (int, float) and math.isfinite(v)
+                        for v in norm[k]) for k in ("mean", "std"))
+            and all(v > 0 for v in norm["std"])):
         raise DatasetFormatError(
-            "manifest.json: 'normalization' needs 'mean' and 'std' lists")
+            "manifest.json: 'normalization' needs 'mean' and 'std' lists of "
+            "5 finite numbers, every 'std' > 0")
     shape = manifest["image_shape"]
     if shape is not None and not (len(shape) == 3 and all(
             type(n) is int and n > 0 for n in shape)):
@@ -371,19 +375,31 @@ def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"cannot read manifest: {exc}") from exc
     _check_manifest(manifest)
+    lag, seq_len = manifest["lag"], manifest["seq_len"]
+    shape = tuple(manifest["image_shape"] or ())
     windows = []
     text = (src / "windows.jsonl").read_text("utf-8")
     for lineno, line in enumerate(filter(None, text.split("\n")), start=1):
         try:
             row = json.loads(line)
+            if row["lag"] != lag:
+                raise ValueError(f"lag {row['lag']} != the manifest's {lag}")
+            X = row["X"]
+            if not (len(X) == lag and all(
+                    len(seq) == seq_len and set(map(type, seq)) <= {int}
+                    for seq in X)):
+                raise ValueError(f"'X' is not {lag} rows of {seq_len} "
+                                 f"integer ids")
             G = [decode_graph_blob((src / "graphs" / name).read_bytes())
                  for name in row["graphs"]]
+            if any(g.shape != shape for g in G):
+                raise ValueError(f"chart shapes {[g.shape for g in G]} != the "
+                                 f"manifest's {shape}")
             w = LagWindow(ticker=row["ticker"],
                           target_date=dt.date.fromisoformat(row["target_date"]),
-                          lag=row["lag"],
+                          lag=lag,
                           M=np.array(row["M"], dtype=np.float64),
-                          X=[list(map(int, seq)) for seq in row["X"]],
-                          G=G, label=int(row["label"]))
+                          X=X, G=G, label=int(row["label"]))
             w.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"windows.jsonl:{lineno}: bad row: "

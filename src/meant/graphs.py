@@ -18,18 +18,19 @@ from .indicators import IndicatorSeries
 
 _MAGIC = b"MGPH"
 
+CHANNELS = 3            # RGB
+MARGIN_FRACTION = 0.05  # of the value span, left blank above and below
+MACD_COLOR = (0.0, 0.0, 1.0)
+SIGNAL_COLOR = (1.0, 0.0, 0.0)
+HIST_POS_COLOR = (0.0, 0.6, 0.0)
+HIST_NEG_COLOR = (0.6, 0.0, 0.6)
+
 
 @dataclass(frozen=True)
 class GraphSpec:
     window_days: int = 26
     width: int = 224
     height: int = 224
-    channels: int = 3
-    margin_fraction: float = 0.05
-    macd_color: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    signal_color: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    hist_pos_color: tuple[float, float, float] = (0.0, 0.6, 0.0)
-    hist_neg_color: tuple[float, float, float] = (0.6, 0.0, 0.6)
 
     def __post_init__(self):
         if self.width < 32 or self.height < 32:
@@ -80,12 +81,12 @@ def render_macd_graph(ind: IndicatorSeries, end_day: int,
     if span <= 0.0:
         vmin, vmax = vmin - 1.0, vmax + 1.0
         span = 2.0
-    pad = span * spec.margin_fraction
+    pad = span * MARGIN_FRACTION
     vmin -= pad
     vmax += pad
     span = vmax - vmin
 
-    img = np.ones((spec.channels, spec.height, spec.width), dtype=np.float64)
+    img = np.ones((CHANNELS, spec.height, spec.width), dtype=np.float64)
 
     xpad = max(1, spec.width // 32)
     usable_w = spec.width - 2 * xpad
@@ -105,14 +106,14 @@ def render_macd_graph(ind: IndicatorSeries, end_day: int,
         y = to_y(float(hv))
         if y == zero_y:
             continue
-        color = spec.hist_pos_color if hv > 0 else spec.hist_neg_color
+        color = HIST_POS_COLOR if hv > 0 else HIST_NEG_COLOR
         x = to_x(i)
         y0, y1 = sorted((zero_y, y))
         x0 = max(0, x - bar_half)
         x1 = min(spec.width - 1, x + bar_half)
         img[:, y0:y1 + 1, x0:x1 + 1] = np.asarray(color)[:, None, None]
 
-    for series, color in ((s, spec.signal_color), (m, spec.macd_color)):
+    for series, color in ((s, SIGNAL_COLOR), (m, MACD_COLOR)):
         pts = [(to_x(i), to_y(float(v))) for i, v in enumerate(series)]
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             _draw_line(img, x0, y0, x1, y1, color)
@@ -150,10 +151,9 @@ def decode_graph_blob(blob: bytes) -> np.ndarray:
 
 
 def write_ppm(img: np.ndarray, path) -> None:
-    """Export the first three channels as a binary P6 PPM."""
-    c, h, w = img.shape
-    rgb = img[:3] if c >= 3 else np.repeat(img[:1], 3, axis=0)
-    pixels = np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
+    """Export an RGB chart as a binary P6 PPM."""
+    _, h, w = img.shape
+    pixels = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
     body = pixels.transpose(1, 2, 0).tobytes()
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))

@@ -316,22 +316,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), bwd)
 
 
-def softmax_last_dim(x: Tensor) -> Tensor:
-    """Stable softmax along the final axis; rows sum to one."""
-    if np.isnan(x.data).any():
-        raise NumericError("softmax input contains NaN")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        if x.requires_grad:
-            inner = (g * out_data).sum(axis=-1, keepdims=True)
-            x._accumulate(out_data * (g - inner))
-
-    return Tensor._from_op(out_data, (x,), bwd)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x)."""
     cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))

@@ -51,11 +51,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.01):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -63,47 +62,35 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
             p.data *= 1.0 - lr * self.weight_decay
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            self.m[name] = self.BETA1 * self.m[name] + (1 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1 - self.BETA2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
 
-@dataclass
-class CosineWarmRestarts:
-    """eta(t) = eta_min + (eta_max-eta_min)/2 * (1 + cos(pi * T_cur / T_i))."""
+# epochs per cosine cycle; the rate restarts at its peak every cycle
+RESTART_PERIOD = 7
 
-    eta_max: float = 5e-5
-    eta_min: float = 0.0
-    t0: float = 7.0
-    t_mult: float = 1.0
 
-    def __post_init__(self):
-        if self.t0 < 1:
-            raise ContractError("t0 must be >= 1")
-
-    def lr(self, progress: float) -> float:
-        if progress < 0:
-            raise ContractError("progress must be >= 0")
-        t_i = float(self.t0)
-        t_cur = float(progress)
-        while t_cur >= t_i:
-            t_cur -= t_i
-            t_i *= self.t_mult
-        return self.eta_min + 0.5 * (self.eta_max - self.eta_min) * (
-            1.0 + math.cos(math.pi * t_cur / t_i))
+def cosine_lr(peak: float, epoch: float) -> float:
+    """Cosine warm restarts down to 0: peak/2 * (1 + cos(pi * t / T)), with
+    t the epoch's offset into its cycle of ``RESTART_PERIOD`` epochs."""
+    if epoch < 0:
+        raise ContractError("epoch must be >= 0")
+    return 0.5 * peak * (1.0 + math.cos(
+        math.pi * (epoch % RESTART_PERIOD) / RESTART_PERIOD))
 
 
 @dataclass
@@ -209,9 +196,6 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 16
     lr: float = 5e-5
-    eta_min: float = 0.0
-    t0: float = 7.0
-    t_mult: float = 1.0
     patience: int = 3
     weight_decay: float = 0.01
     seed: int = 42
@@ -223,7 +207,7 @@ class TrainConfig:
             if type(value) is not int or value < low:
                 raise ContractError(f"{name} must be an integer >= {low}, "
                                     f"got {value!r}")
-        for name in ("lr", "eta_min", "t0", "t_mult", "weight_decay"):
+        for name in ("lr", "weight_decay"):
             value = getattr(self, name)
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ContractError(f"{name} must be a finite number, "
@@ -256,8 +240,6 @@ def train(model: MeantModel, train_data: dict, val_data: dict,
     train_data = _model_inputs(model, train_data)
     params = model.params()
     opt = AdamW(params, weight_decay=cfg.weight_decay)
-    schedule = CosineWarmRestarts(eta_max=cfg.lr, eta_min=cfg.eta_min,
-                                  t0=cfg.t0, t_mult=cfg.t_mult)
     rng = np.random.default_rng(cfg.seed)
     n = len(train_data["labels"])
 
@@ -268,7 +250,7 @@ def train(model: MeantModel, train_data: dict, val_data: dict,
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
-        lr = schedule.lr(epoch)
+        lr = cosine_lr(cfg.lr, epoch)
         for start in range(0, n, cfg.batch_size):
             batch = _batch(train_data, order[start:start + cfg.batch_size])
             opt.zero_grad()
@@ -384,11 +366,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     return config, params, binding
 
 
-def restore_model(path, seed: int = 42) -> tuple[MeantModel, dict]:
+def restore_model(path) -> tuple[MeantModel, dict]:
     """Rebuild a model from a checkpoint, shape-checking every tensor; also
     returns the checkpoint's dataset binding."""
     config, flat, binding = load_checkpoint(path)
-    model = MeantModel(config, seed=seed)
+    model = MeantModel(config)
     params = model.params()
     if set(params) != set(flat):
         missing = sorted(set(params) ^ set(flat))

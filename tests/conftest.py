@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from meant.dataset import build_lag_windows
+from meant.errors import NumericError
 from meant.fusion import MeantModel, ModelConfig
 from meant.graphs import GraphSpec
 from meant.indicators import compute_macd
 from meant.synthetic import make_sine_prices, make_tweets
-from meant.tensor import attention_weights
+from meant.tensor import Tensor, attention_weights
 from meant.tokenizer import build_vocab
 
 TOY_MODEL = dict(vocab_size=12, seq_len=4, lag=2, d_l=8, d_p=8, heads=2,
@@ -74,3 +75,20 @@ def target_weights(qta, fused) -> np.ndarray:
     q = qta._split(qta.wq(fused[:, l - 1:l, :])).data
     k = qta._split(qta.wk(fused)).data
     return attention_weights(q, k, qta.scale)
+
+
+def softmax_last_dim(x: Tensor) -> Tensor:
+    """Stable softmax along the final axis; rows sum to one. No model path
+    runs it: it is the reference the fused ``attention`` is tested against."""
+    if np.isnan(x.data).any():
+        raise NumericError("softmax input contains NaN")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        if x.requires_grad:
+            inner = (g * out_data).sum(axis=-1, keepdims=True)
+            x._accumulate(out_data * (g - inner))
+
+    return Tensor._from_op(out_data, (x,), bwd)

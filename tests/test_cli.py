@@ -13,6 +13,7 @@ from meant.cli import ABLATION_VARIANTS, _model_config, build_parser, main
 from meant.config import RunConfig
 from meant.errors import ConfigError
 from meant.fusion import MeantModel
+from meant.graphs import encode_graph_blob
 from meant.training import dataset_binding, save_checkpoint
 from meant.synthetic import make_sine_prices, make_tweets
 
@@ -170,7 +171,8 @@ class TestTrain:
         for model, train in (({"wings": 2}, {}), ({"use_pad_mask": 2}, {}),
                              ({"norm_mode": 2}, {}), ({"heads": 0}, {}),
                              ({"d_l": "8"}, {}),
-                             ({}, {"schedule_unit": "step"})):
+                             ({}, {"schedule_unit": "step"}),
+                             ({}, {"t0": 7.0})):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps({"model": {**MODEL_OVERRIDES, **model},
                                        "train": train}))
@@ -240,6 +242,41 @@ class TestTrain:
                    "--data", str(data), "--out", str(tmp_path / "run")])
         assert rc == 1
         assert "windows.jsonl:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "short_token_row", "long_token_row", "float_token_id", "short_lag_row",
+        "one_window_charts_64px", "every_chart_64px"])
+    def test_window_row_unlike_manifest_exits_one(self, workspace, tmp_path,
+                                                 capsys, case):
+        # every edit keeps windows.jsonl valid JSON and every chart blob's
+        # CRC valid; the row no longer fits the manifest's lag, seq_len or
+        # image_shape
+        data = tmp_path / "ds"
+        shutil.copytree(workspace["data"], data)
+        lines = (data / "windows.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        if case == "short_token_row":
+            row["X"][0] = row["X"][0][:5]
+        elif case == "long_token_row":
+            row["X"][0] += [0, 0]
+        elif case == "float_token_id":
+            row["X"][0][0] = 2.7
+        elif case == "short_lag_row":
+            row.update(lag=row["lag"] - 1, M=row["M"][1:], X=row["X"][1:],
+                       graphs=row["graphs"][1:])
+        else:
+            names = (row["graphs"] if case == "one_window_charts_64px"
+                     else [p.name for p in (data / "graphs").iterdir()])
+            for name in names:
+                (data / "graphs" / name).write_bytes(
+                    encode_graph_blob(np.ones((3, 64, 64))))
+        lines[1] = json.dumps(row)
+        (data / "windows.jsonl").write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--data", str(data), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        line = 1 if case == "every_chart_64px" else 2
+        assert f"error: windows.jsonl:{line}: bad row" in capsys.readouterr().err
 
     def test_zero_modality_config_exits_one(self, workspace, tmp_path):
         bad = tmp_path / "nomod.json"
@@ -387,9 +424,16 @@ class TestEval:
         lambda m: {**m, "tokenizer": {**m["tokenizer"], "vocab": {"up": "3"}}},
         lambda m: {**m, "image_shape": [3, 32]},
         lambda m: {**m, "seq_len": "8"},
+        lambda m: {**m, "normalization": {**m["normalization"],
+                                          "mean": [0.0] * 3}},
+        lambda m: {**m, "normalization": {**m["normalization"],
+                                          "std": ["1.0"] * 5}},
+        lambda m: {**m, "normalization": {**m["normalization"],
+                                          "std": [0.0] * 5}},
     ], ids=["list", "no_normalization", "no_std", "split_not_object",
             "no_count", "tokenizer_not_object", "vocab_id_not_int",
-            "image_shape_two_ints", "seq_len_not_int"])
+            "image_shape_two_ints", "seq_len_not_int", "mean_of_3",
+            "std_strings", "std_zero"])
     def test_malformed_manifest_exits_one(self, workspace, trained, tmp_path,
                                           capsys, edit):
         data = tmp_path / "ds"
@@ -516,7 +560,7 @@ class TestRunConfig:
         run = RunConfig.from_dict({})
         assert run.train.epochs == 15
         assert run.train.lr == 5e-5
-        assert run.train.t0 == 7.0
+        assert run.train.weight_decay == 0.01
         assert run.model == {}
 
     # each case list ends with options that were retired, so configs
@@ -527,8 +571,9 @@ class TestRunConfig:
                 RunConfig.from_dict({section: {}})
 
     def test_unknown_key_in_section(self):
-        with pytest.raises(ConfigError, match="momentum"):
-            RunConfig.from_dict({"train": {"momentum": 1}})
+        for key in ("momentum", "eta_min", "t0", "t_mult"):
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_dict({"train": {key: 1}})
 
     def test_unknown_model_key(self):
         for key in ("dropout", "use_pad_mask", "temporal_ffn", "axial_literal",

@@ -186,9 +186,8 @@ class TestBuild:
 
     def test_requires_tokenizer_and_valid_lag(self, sine_prices, sine_dataset):
         _, _, tok = sine_dataset
-        with pytest.raises(ContractError):
-            build_lag_windows({sine_prices.ticker: sine_prices}, [], lag=5,
-                              tokenizer=None)
+        with pytest.raises(TypeError, match="tokenizer"):
+            build_lag_windows({sine_prices.ticker: sine_prices}, [], lag=5)
         with pytest.raises(ContractError):
             build_lag_windows({sine_prices.ticker: sine_prices}, [], lag=0,
                               tokenizer=tok)

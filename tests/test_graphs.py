@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from meant.errors import ContractError, DatasetFormatError
-from meant.graphs import (GraphSpec, decode_graph_blob, encode_graph_blob,
-                          render_macd_graph, write_ppm)
+from meant.graphs import (HIST_NEG_COLOR, HIST_POS_COLOR, MACD_COLOR,
+                          SIGNAL_COLOR, GraphSpec, decode_graph_blob,
+                          encode_graph_blob, render_macd_graph, write_ppm)
 from meant.indicators import compute_macd
 from meant.synthetic import make_sine_prices
 
@@ -40,16 +43,15 @@ class TestRender:
 
     def test_macd_drawn_over_signal(self, sine_indicators, small_graph_spec):
         img = render_macd_graph(sine_indicators, 60, small_graph_spec)
-        macd = np.asarray(small_graph_spec.macd_color)
+        macd = np.asarray(MACD_COLOR)
         mask = np.all(img == macd[:, None, None], axis=0)
         assert mask.any()
-        sig = np.asarray(small_graph_spec.signal_color)
+        sig = np.asarray(SIGNAL_COLOR)
         assert np.all(img == sig[:, None, None], axis=0).any()
 
     def test_histogram_bars_present(self, sine_indicators, small_graph_spec):
         img = render_macd_graph(sine_indicators, 60, small_graph_spec)
-        for color in (small_graph_spec.hist_pos_color,
-                      small_graph_spec.hist_neg_color):
+        for color in (HIST_POS_COLOR, HIST_NEG_COLOR):
             c = np.asarray(color)[:, None, None]
             present = np.all(img == c, axis=0).any()
             if present:
@@ -64,6 +66,16 @@ class TestRender:
         with pytest.raises(ContractError):
             render_macd_graph(sine_indicators, len(sine_indicators),
                               small_graph_spec)
+
+    @pytest.mark.parametrize("size,crc", [(32, 0x56a68650),
+                                          (224, 0x6f4e967f)])
+    def test_chart_bytes_pinned(self, sine_indicators, size, crc):
+        # the stored CRC footer covers every header and pixel byte, so it
+        # pins the palette, margins and rasterization; zlib.crc32 of a whole
+        # blob would always be the CRC-32 residue
+        spec = GraphSpec(window_days=26, width=size, height=size)
+        blob = encode_graph_blob(render_macd_graph(sine_indicators, 60, spec))
+        assert struct.unpack("<I", blob[-4:])[0] == crc
 
     def test_default_spec_is_224(self):
         spec = GraphSpec()

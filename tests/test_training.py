@@ -9,10 +9,10 @@ from conftest import toy_batch, toy_model
 from meant.errors import ContractError, DatasetFormatError, NumericError
 from meant.tensor import Tensor
 from meant.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, AdamW,
-                            CosineWarmRestarts, TrainConfig,
-                            compute_metrics, cross_entropy, evaluate,
-                            load_checkpoint, restore_model, save_checkpoint,
-                            train, windows_to_arrays)
+                            TrainConfig, compute_metrics, cosine_lr,
+                            cross_entropy, evaluate, load_checkpoint,
+                            restore_model, save_checkpoint, train,
+                            windows_to_arrays)
 
 
 def rng_(seed=0):
@@ -109,36 +109,22 @@ class TestAdamW:
 
 class TestSchedule:
     def test_start_at_eta_max(self):
-        assert CosineWarmRestarts(eta_max=5e-5, t0=7).lr(0.0) == 5e-5
+        assert cosine_lr(5e-5, 0) == 5e-5
 
     def test_midpoint_is_half(self):
-        s = CosineWarmRestarts(eta_max=4e-4, t0=8)
-        assert abs(s.lr(4.0) - 2e-4) < 1e-18
+        assert abs(cosine_lr(4e-4, 3.5) - 2e-4) < 1e-18
 
     def test_restart_resets(self):
-        s = CosineWarmRestarts(eta_max=5e-5, t0=7)
-        assert abs(s.lr(7.0) - 5e-5) < 1e-18
-        assert s.lr(6.999) < 1e-6
+        assert abs(cosine_lr(5e-5, 7) - 5e-5) < 1e-18
+        assert cosine_lr(5e-5, 6.999) < 1e-6
 
     def test_periodicity_without_mult(self):
-        s = CosineWarmRestarts(eta_max=1.0, t0=7)
         for t in np.linspace(0, 6.9, 20):
-            assert abs(s.lr(t) - s.lr(t + 7.0)) < 1e-12
-
-    def test_t_mult_stretches_later_cycles(self):
-        s = CosineWarmRestarts(eta_max=1.0, t0=4, t_mult=2.0)
-        # second cycle spans [4, 12); its midpoint sits at 8
-        assert abs(s.lr(8.0) - 0.5) < 1e-12
-
-    def test_eta_min_floor(self):
-        s = CosineWarmRestarts(eta_max=1.0, eta_min=0.1, t0=2)
-        assert abs(s.lr(1.0) - 0.55) < 1e-12
+            assert abs(cosine_lr(1.0, t) - cosine_lr(1.0, t + 7.0)) < 1e-12
 
     def test_invalid_args(self):
         with pytest.raises(ContractError):
-            CosineWarmRestarts(t0=0)
-        with pytest.raises(ContractError):
-            CosineWarmRestarts().lr(-1.0)
+            cosine_lr(5e-5, -1.0)
 
 
 class TestMetrics:
@@ -265,7 +251,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("name,value", [
         ("epochs", 0), ("batch_size", -2), ("patience", 0), ("seed", -1),
         ("epochs", 2.0), ("batch_size", True), ("lr", float("nan")),
-        ("t0", float("inf")), ("weight_decay", "0.01")])
+        ("weight_decay", float("inf")), ("weight_decay", "0.01")])
     def test_bad_values_rejected(self, name, value):
         with pytest.raises(ContractError, match=name):
             TrainConfig(**{name: value})
