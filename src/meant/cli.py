@@ -29,8 +29,6 @@ from .training import (cross_entropy, dataset_binding, evaluate,
                        restore_model, save_checkpoint, train, truncate_lag,
                        windows_to_arrays)
 
-log = logging.getLogger("meant")
-
 
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", "utf-8")

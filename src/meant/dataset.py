@@ -11,6 +11,7 @@ import datetime as dt
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -282,6 +283,12 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _bare_name(name) -> bool:
+    """A chart is a file in graphs/, never a path that leaves it."""
+    return (type(name) is str and name not in ("", ".", "..")
+            and os.path.basename(name) == name)
+
+
 def save_dataset(windows: list[LagWindow], out_dir, tokenizer: TokenizerSpec,
                  split: dict = DEFAULT_SPLIT) -> None:
     """Write manifest.json, windows.jsonl and per-day graph blobs. The
@@ -311,6 +318,8 @@ def save_dataset(windows: list[LagWindow], out_dir, tokenizer: TokenizerSpec,
         names = []
         for i, img in enumerate(w.G):
             name = f"{w.ticker}_{w.target_date.isoformat()}_{i}.bin"
+            if not _bare_name(name):
+                raise ContractError(f"ticker {w.ticker!r} cannot name a file")
             (out / "graphs" / name).write_bytes(encode_graph_blob(img))
             names.append(name)
         lines.append(_json_bytes({
@@ -390,18 +399,30 @@ def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
                     for seq in X)):
                 raise ValueError(f"'X' is not {lag} rows of {seq_len} "
                                  f"integer ids")
+            M = row["M"]
+            if not (len(M) == lag and all(
+                    len(day) == 5 and set(map(type, day)) <= {int, float}
+                    for day in M)):
+                raise ValueError(f"'M' is not {lag} rows of 5 numbers")
+            M = np.array(M, dtype=np.float64)
+            if not np.isfinite(M).all():
+                raise ValueError("'M' has a value that is not finite")
+            label = row["label"]
+            if type(label) is not int or label not in (0, 1):
+                raise ValueError(f"label {label!r} is not the integer 0 or 1")
+            names = row["graphs"]
+            if not all(map(_bare_name, names)):
+                raise ValueError(f"chart names {names} are not bare file names")
             G = [decode_graph_blob((src / "graphs" / name).read_bytes())
-                 for name in row["graphs"]]
+                 for name in names]
             if any(g.shape != shape for g in G):
                 raise ValueError(f"chart shapes {[g.shape for g in G]} != the "
                                  f"manifest's {shape}")
             w = LagWindow(ticker=row["ticker"],
                           target_date=dt.date.fromisoformat(row["target_date"]),
-                          lag=lag,
-                          M=np.array(row["M"], dtype=np.float64),
-                          X=X, G=G, label=int(row["label"]))
+                          lag=lag, M=M, X=X, G=G, label=label)
             w.validate()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetFormatError(f"windows.jsonl:{lineno}: bad row: "
                                      f"{type(exc).__name__}: {exc}") from exc
         windows.append(w)

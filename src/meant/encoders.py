@@ -25,7 +25,27 @@ if TYPE_CHECKING:
 INIT_STD = 0.02
 
 
-class Linear:
+class Module:
+    """A layer. ``params()`` walks its attributes in the order it set them:
+    its own trainable tensors, as ``<name>.<attribute>``, then the
+    parameters of the layers it holds, directly or in a list."""
+
+    def params(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        held = []
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor) and value.requires_grad:
+                out[f"{self.name}.{attr}"] = value
+            else:
+                held += value if isinstance(value, list) else [value]
+        for layer in held:
+            # duck-typed, so an object standing in for a layer counts too
+            if hasattr(layer, "params"):
+                out.update(layer.params())
+        return out
+
+
+class Linear(Module):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int,
                  name: str, scale: float = 1.0, bias: bool = True):
         self.name = name
@@ -37,14 +57,8 @@ class Linear:
         out = matmul(x, self.weight)
         return out if self.bias is None else out + self.bias
 
-    def params(self) -> dict[str, Tensor]:
-        out = {f"{self.name}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{self.name}.bias"] = self.bias
-        return out
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d: int, name: str):
         self.name = name
         self.gain = Tensor(np.ones(d), requires_grad=True)
@@ -53,18 +67,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gain, self.bias)
 
-    def params(self) -> dict[str, Tensor]:
-        return {f"{self.name}.gain": self.gain, f"{self.name}.bias": self.bias}
 
-
-def _merge(*modules) -> dict[str, Tensor]:
-    out: dict[str, Tensor] = {}
-    for m in modules:
-        out.update(m.params())
-    return out
-
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Scaled dot-product attention with optional rope and key masking.
 
     The one attention core: the language and vision blocks attend a
@@ -115,11 +119,8 @@ class MultiHeadAttention:
                  rope=None) -> Tensor:
         return self.attend(x, x, mask, rope)
 
-    def params(self) -> dict[str, Tensor]:
-        return _merge(self.wq, self.wk, self.wv, self.wo)
 
-
-class FeedForward:
+class FeedForward(Module):
     """Linear -> interleaved layer norm -> GELU -> Linear."""
 
     def __init__(self, rng, dim: int, ratio: int, name: str,
@@ -132,11 +133,8 @@ class FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.inner_norm(self.fc1(x))))
 
-    def params(self) -> dict[str, Tensor]:
-        return _merge(self.fc1, self.inner_norm, self.fc2)
 
-
-class LanguageEncoderBlock:
+class LanguageEncoderBlock(Module):
     """Pre-norm attention and FFN sub-layers with residuals."""
 
     def __init__(self, rng, dim: int, heads: int, mlp_ratio: int, name: str,
@@ -150,11 +148,8 @@ class LanguageEncoderBlock:
         x = x + self.attn(self.norm1(x), mask=mask, rope=rope)
         return x + self.ffn(self.norm2(x))
 
-    def params(self) -> dict[str, Tensor]:
-        return _merge(self.norm1, self.attn, self.norm2, self.ffn)
 
-
-class DividedSpaceTimeBlock:
+class DividedSpaceTimeBlock(Module):
     """Temporal attention across frames, spatial within a frame, then FFN."""
 
     def __init__(self, rng, dim: int, heads: int, mlp_ratio: int, name: str,
@@ -188,18 +183,15 @@ class DividedSpaceTimeBlock:
         z = z + self.ffn(self.norm_f(z))
         return z.reshape(b, l, n_p, d)
 
-    def params(self) -> dict[str, Tensor]:
-        return _merge(self.norm_t, self.attn_t, self.norm_s, self.attn_s,
-                      self.norm_f, self.ffn)
 
-
-class LanguagePipeline:
+class LanguagePipeline(Module):
     """Token embedding plus per-lag-day encoder blocks -> L_out:
     ``lang_depth`` blocks of width ``d_l``, with ``lang_pos`` as the
     positional encoding and ``pad_id`` tokens masked as keys."""
 
     def __init__(self, rng, config: ModelConfig):
         self.config = config
+        self.name = "lang.embed"    # its one own tensor is lang.embed.table
         self.table = Tensor(rng.normal(0.0, INIT_STD,
                                        size=(config.vocab_size, config.d_l)),
                             requires_grad=True)
@@ -230,14 +222,8 @@ class LanguagePipeline:
             x = block(x, mask=mask, rope=rope)
         return x.reshape(b, l, s, c.d_l)
 
-    def params(self) -> dict[str, Tensor]:
-        out = {"lang.embed.table": self.table}
-        for blk in self.blocks:
-            out.update(blk.params())
-        return out
 
-
-class VisionPipeline:
+class VisionPipeline(Module):
     """Patch embedding plus divided space-time blocks -> I_out:
     ``vision_depth`` blocks of width ``d_p`` over the ``patch_size`` patches
     of each ``channels x image_height x image_width`` chart, whose sides
@@ -264,9 +250,3 @@ class VisionPipeline:
         for block in self.blocks:
             x = block(x, self.grid)
         return x.reshape(b, l * self.n_p, self.config.d_p)
-
-    def params(self) -> dict[str, Tensor]:
-        out = self.patch.params()
-        for blk in self.blocks:
-            out.update(blk.params())
-        return out

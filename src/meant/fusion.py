@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .encoders import (INIT_STD, FeedForward, LanguagePipeline, LayerNorm,
-                       Linear, MultiHeadAttention, VisionPipeline, _merge)
+                       Linear, Module, MultiHeadAttention, VisionPipeline)
 from .errors import ContractError, DimensionError
 from .tensor import Tensor, concat, gelu, matmul
 
@@ -98,7 +98,7 @@ def mean_pool(l_out: Tensor) -> Tensor:
     return l_out.mean(axis=2)
 
 
-class SequenceProjection:
+class SequenceProjection(Module):
     """Learned reduction of the second-to-last axis (s tokens of a day, or
     every patch of the window) followed by layer norm and GELU. No bias:
     a scalar added to every lane is removed again by the layer norm's
@@ -118,11 +118,6 @@ class SequenceProjection:
         projected = matmul(self.weight, seq)   # (..., 1, d)
         squeezed = projected.reshape(*seq.shape[:-2], seq.shape[-1])
         return gelu(self.norm(squeezed))
-
-    def params(self) -> dict[str, Tensor]:
-        out = {f"{self.name}.weight": self.weight}
-        out.update(self.norm.params())
-        return out
 
 
 def fuse_price(l_seq: Tensor | None, macd: Tensor | None) -> Tensor:
@@ -161,12 +156,8 @@ class QueryTargetAttention(MultiHeadAttention):
         out = out + self.ffn(self.ffn_norm(out))
         return out.reshape(b, d)
 
-    def params(self) -> dict[str, Tensor]:
-        return _merge(self.wq, self.wk, self.wv, self.wo, self.ffn_norm,
-                      self.ffn)
 
-
-class ClassifierHead:
+class ClassifierHead(Module):
     def __init__(self, rng, dim: int, name: str = "head", classes: int = 2):
         self.fc1 = Linear(rng, dim, dim, f"{name}.fc1")
         self.fc2 = Linear(rng, dim, classes, f"{name}.fc2")
@@ -174,14 +165,11 @@ class ClassifierHead:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(gelu(self.fc1(x)))
 
-    def params(self) -> dict[str, Tensor]:
-        return _merge(self.fc1, self.fc2)
-
 
 # -- full model --------------------------------------------------------
 
 
-class MeantModel:
+class MeantModel(Module):
     """Dual-encoder model with query-targeted temporal fusion."""
 
     def __init__(self, config: ModelConfig, seed: int = 42):
@@ -265,14 +253,6 @@ class MeantModel:
         return self.head(final)
 
     __call__ = forward
-
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for mod in (self.language, self.pool, self.vision, self.image_proj,
-                    self.temporal, self.head):
-            if mod is not None:
-                out.update(mod.params())
-        return out
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params().values())

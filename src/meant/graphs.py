@@ -8,13 +8,13 @@ buffers. Images are channels-first float arrays in [0, 1].
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DatasetFormatError
+from .errors import ContractError
 from .indicators import IndicatorSeries
+from .sealed import Reader, seal
 
 _MAGIC = b"MGPH"
 
@@ -125,29 +125,17 @@ def render_macd_graph(ind: IndicatorSeries, end_day: int,
 
 
 def encode_graph_blob(img: np.ndarray) -> bytes:
-    """MGPH header, f32 little-endian payload, CRC32 footer."""
-    c, h, w = img.shape
-    header = _MAGIC + struct.pack("<III", c, h, w)
-    payload = img.astype("<f4").tobytes()
-    crc = zlib.crc32(header + payload)
-    return header + payload + struct.pack("<I", crc)
+    """Sealed MGPH blob: ``<III`` shape, then the f32 little-endian pixels."""
+    return seal(_MAGIC, struct.pack("<III", *img.shape)
+                + img.astype("<f4").tobytes())
 
 
 def decode_graph_blob(blob: bytes) -> np.ndarray:
-    if len(blob) < 20:
-        raise DatasetFormatError("graph blob truncated")
-    if blob[:4] != _MAGIC:
-        raise DatasetFormatError("graph blob has bad magic")
-    c, h, w = struct.unpack("<III", blob[4:16])
-    expected = 16 + 4 * c * h * w + 4
-    if len(blob) != expected:
-        raise DatasetFormatError(
-            f"graph blob length {len(blob)} != expected {expected}")
-    crc_stored, = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) != crc_stored:
-        raise DatasetFormatError("graph blob checksum mismatch")
-    data = np.frombuffer(blob[16:-4], dtype="<f4").astype(np.float64)
-    return data.reshape(c, h, w)
+    r = Reader(blob, _MAGIC, "graph blob")
+    c, h, w = r.unpack("<III")
+    data = np.frombuffer(r.take(4 * c * h * w), dtype="<f4")
+    r.done()
+    return data.astype(np.float64).reshape(c, h, w)
 
 
 def write_ppm(img: np.ndarray, path) -> None:

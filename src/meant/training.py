@@ -13,6 +13,7 @@ import numpy as np
 from .dataset import LagWindow, _json_bytes
 from .errors import ContractError, DatasetFormatError, NumericError
 from .fusion import MeantModel, ModelConfig
+from .sealed import Reader, seal
 from .tensor import Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"MEAN"
@@ -299,10 +300,8 @@ def dataset_binding(manifest: dict) -> dict:
 def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
                     binding: dict) -> None:
     """Write the model's config, the ``dataset_binding`` of the dataset it
-    was trained on and its parameters, sealed by a CRC32 of the file."""
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<I", CHECKPOINT_VERSION)
+    was trained on and its parameters, sealed under ``CHECKPOINT_MAGIC``."""
+    body = bytearray(struct.pack("<I", CHECKPOINT_VERSION))
     for record in (_json_bytes(config.to_dict()), _json_bytes(binding)):
         body += struct.pack("<I", len(record)) + record
     body += struct.pack("<I", len(params))
@@ -311,9 +310,8 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, np.ndarray],
         encoded = name.encode("utf-8")
         body += struct.pack("<I", len(encoded)) + encoded
         body += struct.pack("<Q", data.size) + data.tobytes()
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
     with open(path, "wb") as fh:
-        fh.write(bytes(body))
+        fh.write(seal(CHECKPOINT_MAGIC, bytes(body)))
 
 
 def _json_object(record: bytes, what: str) -> dict:
@@ -329,40 +327,25 @@ def _json_object(record: bytes, what: str) -> dict:
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     """The config, parameters and dataset binding ``save_checkpoint`` wrote."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
-        raise DatasetFormatError("not a checkpoint file")
-    crc_stored, = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) != crc_stored:
-        raise DatasetFormatError("checkpoint checksum mismatch")
-    off, end = 4, len(blob) - 4
+        r = Reader(fh.read(), CHECKPOINT_MAGIC, "checkpoint")
 
-    def take(n: int) -> bytes:
-        # every length comes from the file, so bound it by the file
-        nonlocal off
-        if n > end - off:
-            raise DatasetFormatError("checkpoint is truncated")
-        off += n
-        return blob[off - n:off]
+    def record() -> bytes:
+        return r.take(r.unpack("<I")[0])
 
-    def number(fmt: str) -> int:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
-
-    version = number("<I")
+    version, = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise DatasetFormatError(f"unsupported checkpoint version {version}")
-    config = ModelConfig.from_dict(_json_object(take(number("<I")), "config"))
-    binding = _json_object(take(number("<I")), "dataset binding")
+    config = ModelConfig.from_dict(_json_object(record(), "config"))
+    binding = _json_object(record(), "dataset binding")
     params = {}
-    for _ in range(number("<I")):
+    for _ in range(r.unpack("<I")[0]):
         try:
-            name = take(number("<I")).decode("utf-8")
+            name = record().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"checkpoint parameter name: {exc}") from exc
-        params[name] = np.frombuffer(take(8 * number("<Q")), dtype="<f8").copy()
-    if off != end:
-        raise DatasetFormatError(f"checkpoint has {end - off} bytes after "
-                                 f"its last parameter")
+        params[name] = np.frombuffer(r.take(8 * r.unpack("<Q")[0]),
+                                     dtype="<f8").copy()
+    r.done()
     return config, params, binding
 
 

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import shutil
 import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,8 @@ from meant.config import RunConfig
 from meant.errors import ConfigError
 from meant.fusion import MeantModel
 from meant.graphs import encode_graph_blob
-from meant.training import dataset_binding, save_checkpoint
+from meant.sealed import seal
+from meant.training import CHECKPOINT_MAGIC, dataset_binding, save_checkpoint
 from meant.synthetic import make_sine_prices, make_tweets
 
 MODEL_OVERRIDES = {"d_l": 8, "d_p": 8, "heads": 2, "lang_depth": 1,
@@ -134,6 +134,18 @@ class TestBuildDataset:
         assert rc == 1
         assert "bad tweet row" in capsys.readouterr().err
 
+    def test_ticker_that_is_no_file_name_exits_one(self, workspace, tmp_path,
+                                                  capsys):
+        # chart files are named after the ticker; one with a path separator
+        # would write outside the dataset's graphs/
+        prices, tweets = tmp_path / "prices.csv", tmp_path / "tweets.jsonl"
+        for path, src in ((prices, "prices"), (tweets, "tweets")):
+            path.write_text(workspace[src].read_text().replace("SINE", "../SINE"))
+        rc = main(build_args(prices, tweets, tmp_path / "ds"))
+        assert rc == 1
+        assert "cannot name a file" in capsys.readouterr().err
+        assert not any(tmp_path.glob("ds/*.bin"))
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):
@@ -245,17 +257,37 @@ class TestTrain:
 
     @pytest.mark.parametrize("case", [
         "short_token_row", "long_token_row", "float_token_id", "short_lag_row",
-        "one_window_charts_64px", "every_chart_64px"])
+        "one_window_charts_64px", "every_chart_64px", "fractional_label",
+        "string_label", "bool_label", "string_macd", "nan_macd",
+        "chart_absolute_path", "chart_parent_path"])
     def test_window_row_unlike_manifest_exits_one(self, workspace, tmp_path,
                                                  capsys, case):
         # every edit keeps windows.jsonl valid JSON and every chart blob's
         # CRC valid; the row no longer fits the manifest's lag, seq_len or
-        # image_shape
+        # image_shape, has a label or MACD value of the wrong type, or names
+        # a valid chart outside the dataset's graphs/
         data = tmp_path / "ds"
         shutil.copytree(workspace["data"], data)
         lines = (data / "windows.jsonl").read_text().splitlines()
         row = json.loads(lines[1])
-        if case == "short_token_row":
+        blob = (data / "graphs" / row["graphs"][0]).read_bytes()
+        if case == "fractional_label":
+            row["label"] = 0.9
+        elif case == "string_label":
+            row["label"] = "1"
+        elif case == "bool_label":
+            row["label"] = True
+        elif case == "string_macd":
+            row["M"] = [[str(v) for v in day] for day in row["M"]]
+        elif case == "nan_macd":
+            row["M"][0][0] = float("nan")
+        elif case == "chart_absolute_path":
+            (tmp_path / "outside.bin").write_bytes(blob)
+            row["graphs"][0] = str(tmp_path / "outside.bin")
+        elif case == "chart_parent_path":
+            (data / "outside.bin").write_bytes(blob)
+            row["graphs"][0] = "../outside.bin"
+        elif case == "short_token_row":
             row["X"][0] = row["X"][0][:5]
         elif case == "long_token_row":
             row["X"][0] += [0, 0]
@@ -310,16 +342,16 @@ class TestEval:
     def test_checkpoint_naming_retired_key_exits_one(self, workspace, trained,
                                                      tmp_path, capsys):
         # rewrite the config record of a valid checkpoint with a key this
-        # model no longer has; the CRC is recomputed so only the key fails
-        blob = (trained / "model.ckpt").read_bytes()
-        cfg_len, = struct.unpack_from("<I", blob, 8)
-        cfg = json.loads(blob[12:12 + cfg_len])
+        # model no longer has; the file is resealed so only the key fails
+        body = (trained / "model.ckpt").read_bytes()[4:-4]   # version onwards
+        cfg_len, = struct.unpack_from("<I", body, 4)
+        cfg = json.loads(body[8:8 + cfg_len])
         cfg["temporal_ffn"] = True
         cfg_json = json.dumps(cfg).encode()
-        body = (blob[:8] + struct.pack("<I", len(cfg_json)) + cfg_json
-                + blob[12 + cfg_len:-4])
+        body = (body[:4] + struct.pack("<I", len(cfg_json)) + cfg_json
+                + body[8 + cfg_len:])
         old = tmp_path / "old.ckpt"
-        old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        old.write_bytes(seal(CHECKPOINT_MAGIC, body))
         rc = main(["eval", "--checkpoint", str(old),
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
         assert rc == 1
@@ -331,10 +363,10 @@ class TestEval:
                                             capsys, cut):
         # cut a valid checkpoint inside the parameter count, the first
         # parameter's name or its values, add a byte after the last
-        # parameter, or break the name's UTF-8; the CRC is recomputed so
+        # parameter, or break the name's UTF-8; the file is resealed so
         # only the records are wrong
-        body = (trained / "model.ckpt").read_bytes()[:-4]
-        off = 8
+        body = (trained / "model.ckpt").read_bytes()[4:-4]   # version onwards
+        off = 4
         for _ in range(2):                  # config and dataset binding
             length, = struct.unpack_from("<I", body, off)
             off += 4 + length
@@ -346,7 +378,7 @@ class TestEval:
                 "trailing": body + b"\0",
                 "name_not_utf8": body[:name_at] + b"\xff" + body[name_at + 1:]}[cut]
         path = tmp_path / "cut.ckpt"
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        path.write_bytes(seal(CHECKPOINT_MAGIC, body))
         rc = main(["eval", "--checkpoint", str(path),
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
         assert rc == 1

@@ -259,6 +259,29 @@ class TestMeantModel:
                       for p in params.values())
         assert touched >= 0.9 * len(params)
 
+    @pytest.mark.parametrize("pooling", ["mean_pool", "seq_proj"])
+    def test_every_trainable_tensor_is_a_parameter(self, pooling):
+        # a trainable tensor that params() misses is never trained or saved;
+        # look through every attribute, list and dict the model reaches
+        model = toy_model(pooling=pooling)
+        found, seen, todo = set(), set(), [model]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Tensor):
+                if obj.requires_grad:
+                    found.add(id(obj))
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
+            elif isinstance(obj, dict):
+                todo += obj.values()
+            elif hasattr(obj, "__dict__"):
+                todo += vars(obj).values()
+        assert len(found) > 20
+        assert found == {id(p) for p in model.params().values()}
+
     def test_image_only_model_has_no_temporal_block(self):
         model = toy_model(use_text=False, use_price=False)
         assert model.temporal is None

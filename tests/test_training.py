@@ -1,12 +1,12 @@
 import math
 import struct
-import zlib
 
 import numpy as np
 import pytest
 
 from conftest import toy_batch, toy_model
 from meant.errors import ContractError, DatasetFormatError, NumericError
+from meant.sealed import seal
 from meant.tensor import Tensor
 from meant.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, AdamW,
                             TrainConfig, compute_metrics, cosine_lr,
@@ -330,12 +330,12 @@ class TestCheckpoint:
                              ids=["list", "not_json", "not_utf8"])
     def test_malformed_config_record(self, tmp_path, record):
         # a well-sealed file whose config record is not a JSON object
-        body = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+        body = struct.pack("<I", CHECKPOINT_VERSION)
         for rec in (record, b'{"tokenizer_crc32":1}'):
             body += struct.pack("<I", len(rec)) + rec
         body += struct.pack("<I", 0)
         path = tmp_path / "model.ckpt"
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        path.write_bytes(seal(CHECKPOINT_MAGIC, body))
         with pytest.raises(DatasetFormatError, match="config"):
             load_checkpoint(path)
 
@@ -347,6 +347,21 @@ class TestCheckpoint:
         save_checkpoint(path, model.config, dropped, BINDING)
         with pytest.raises(DatasetFormatError, match="mismatch"):
             restore_model(path)
+
+    @pytest.mark.parametrize("overrides,crc", [
+        ({}, 0x726c1988),
+        ({"pooling": "seq_proj", "lang_pos": "rotary"}, 0x788c13a0)],
+        ids=["default", "seq_proj_rotary"])
+    def test_checkpoint_bytes_pinned(self, tmp_path, overrides, crc):
+        # the stored CRC footer covers the config, the binding and every
+        # parameter's name, order and bytes, so it pins the file format and
+        # the parameter walk; zlib.crc32 of a whole file would always be
+        # the CRC-32 residue
+        model = toy_model(seed=5, **overrides)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.config,
+                        {k: p.data for k, p in model.params().items()}, BINDING)
+        assert struct.unpack("<I", path.read_bytes()[-4:])[0] == crc
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = toy_model(seed=7)
