@@ -251,6 +251,16 @@ def _shared_day_ids(config: ModelConfig, rng) -> np.ndarray:
     return np.stack([days[:-1], days[1:]])
 
 
+def _padded_day_ids(config: ModelConfig, rng) -> np.ndarray:
+    """Token ids of two windows whose days are right-padded to 3, 11, 20 and
+    0 real tokens, so that they fall in the 8-, 16- and 24-token buckets;
+    ``seq_len`` must be at least 20."""
+    ids = rng.integers(1, config.vocab_size, size=(2, config.lag, config.seq_len))
+    lengths = np.resize([3, 11, 20, 0], (2, config.lag))
+    ids[np.arange(config.seq_len) >= lengths[..., None]] = config.pad_id
+    return ids
+
+
 def _op_checks(rng: np.random.Generator):
     """(name, max relative error) of each op-level gradient check, one per
     op the model runs that is not an arithmetic or shape op."""
@@ -258,7 +268,7 @@ def _op_checks(rng: np.random.Generator):
     probe6 = rng.normal(size=(3, 6))
     probe_att = rng.normal(size=(2, 3, 3))
     keys = np.array([True, True, False, True, False])
-    # a key-padding mask whose rows attend over 8, 16 and all 24 keys
+    # a key-padding mask whose rows see 5, 13 and all 24 keys
     padded = (np.arange(24) < np.array([[5], [13], [24]]))[:, None, None, :]
     probe_pad = rng.normal(size=(3, 2, 2, 3))
     # unrelated, non-unit tables stand for rotary angles with an xPos scale
@@ -311,16 +321,20 @@ def cmd_gradcheck(args) -> int:
             failures.append(name)
 
     for pooling in ("mean_pool", "seq_proj"):
-        config = ModelConfig.from_dict({**base, "pooling": pooling})
-        for shared in (False, True):
+        for days in ("", "shared days", "padded days"):
+            seq_len = 24 if days == "padded days" else base["seq_len"]
+            config = ModelConfig.from_dict({**base, "pooling": pooling,
+                                            "seq_len": seq_len})
             model = MeantModel(config, seed=1)
             batch = _toy_batch(config, np.random.default_rng(3))
-            if shared:
+            if days == "shared days":
                 batch["ids"] = _shared_day_ids(config, np.random.default_rng(4))
+            elif days == "padded days":
+                batch["ids"] = _padded_day_ids(config, np.random.default_rng(4))
             errors = model_grad_check(model, batch, max_coords=10)
             worst = max(errors.values())
             status = "ok" if worst < 1e-4 else "FAIL"
-            label = f"{pooling}, shared days" if shared else pooling
+            label = f"{pooling}, {days}" if days else pooling
             print(f"model ({label:<9}) max rel err {worst:.3e}  {status}")
             if worst >= 1e-4:
                 failures.append(label)

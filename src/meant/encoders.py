@@ -4,7 +4,8 @@ The language stack is an interleaved-layernorm transformer encoder run
 independently per lag day; the vision stack alternates temporal attention
 (same patch across frames) and spatial attention (patches within a frame)
 before a feed-forward sub-layer. Each pipeline reads its sizes from the
-model's ``ModelConfig``; a block takes its width, head count and FFN ratio.
+model's ``ModelConfig``; a block takes its width and head count, and every
+feed-forward sub-layer widens by ``FFN_RATIO``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ if TYPE_CHECKING:
     from .fusion import ModelConfig
 
 INIT_STD = 0.02
+FFN_RATIO = 4
+
+
+def visible_tokens(ids: np.ndarray, pad_id: int) -> np.ndarray:
+    """True at a day's real tokens (``ids != pad_id``), the positions
+    attention keys on and pooling averages. A fully padded day keeps
+    position 0, so it still has a key to attend to and a token to pool."""
+    visible = np.asarray(ids) != pad_id
+    visible[..., 0] |= ~visible.any(axis=-1)
+    return visible
 
 
 class Module:
@@ -123,9 +134,8 @@ class MultiHeadAttention(Module):
 class FeedForward(Module):
     """Linear -> interleaved layer norm -> GELU -> Linear."""
 
-    def __init__(self, rng, dim: int, ratio: int, name: str,
-                 out_scale: float = 1.0):
-        hidden = dim * ratio
+    def __init__(self, rng, dim: int, name: str, out_scale: float = 1.0):
+        hidden = dim * FFN_RATIO
         self.fc1 = Linear(rng, dim, hidden, f"{name}.fc1")
         self.inner_norm = LayerNorm(hidden, f"{name}.inner_norm")
         self.fc2 = Linear(rng, hidden, dim, f"{name}.fc2", scale=out_scale)
@@ -137,12 +147,11 @@ class FeedForward(Module):
 class LanguageEncoderBlock(Module):
     """Pre-norm attention and FFN sub-layers with residuals."""
 
-    def __init__(self, rng, dim: int, heads: int, mlp_ratio: int, name: str,
-                 out_scale: float):
+    def __init__(self, rng, dim: int, heads: int, name: str, out_scale: float):
         self.norm1 = LayerNorm(dim, f"{name}.norm1")
         self.attn = MultiHeadAttention(rng, dim, heads, f"{name}.attn", out_scale)
         self.norm2 = LayerNorm(dim, f"{name}.norm2")
-        self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn", out_scale)
+        self.ffn = FeedForward(rng, dim, f"{name}.ffn", out_scale)
 
     def __call__(self, x: Tensor, mask=None, rope=None) -> Tensor:
         x = x + self.attn(self.norm1(x), mask=mask, rope=rope)
@@ -152,8 +161,7 @@ class LanguageEncoderBlock(Module):
 class DividedSpaceTimeBlock(Module):
     """Temporal attention across frames, spatial within a frame, then FFN."""
 
-    def __init__(self, rng, dim: int, heads: int, mlp_ratio: int, name: str,
-                 out_scale: float):
+    def __init__(self, rng, dim: int, heads: int, name: str, out_scale: float):
         self.norm_t = LayerNorm(dim, f"{name}.norm_t")
         self.attn_t = MultiHeadAttention(rng, dim, heads, f"{name}.attn_t",
                                          out_scale)
@@ -161,7 +169,7 @@ class DividedSpaceTimeBlock(Module):
         self.attn_s = MultiHeadAttention(rng, dim, heads, f"{name}.attn_s",
                                          out_scale)
         self.norm_f = LayerNorm(dim, f"{name}.norm_f")
-        self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn", out_scale)
+        self.ffn = FeedForward(rng, dim, f"{name}.ffn", out_scale)
 
     def __call__(self, x: Tensor, grid: tuple[int, int]) -> Tensor:
         b, l, n_p, d = x.shape
@@ -187,7 +195,8 @@ class DividedSpaceTimeBlock(Module):
 class LanguagePipeline(Module):
     """Token embedding plus per-lag-day encoder blocks -> L_out:
     ``lang_depth`` blocks of width ``d_l``, with ``lang_pos`` as the
-    positional encoding and ``pad_id`` tokens masked as keys."""
+    positional encoding and only ``visible_tokens`` as keys. Takes (b, l, s)
+    ids of any width s, positions 0..s-1, and returns (b, l, s, d_l)."""
 
     def __init__(self, rng, config: ModelConfig):
         self.config = config
@@ -197,8 +206,7 @@ class LanguagePipeline(Module):
                             requires_grad=True)
         out_scale = 1.0 / math.sqrt(2.0 * config.lang_depth)
         self.blocks = [LanguageEncoderBlock(rng, config.d_l, config.heads,
-                                            config.mlp_ratio, f"lang.block{i}",
-                                            out_scale)
+                                            f"lang.block{i}", out_scale)
                        for i in range(config.lang_depth)]
 
     def __call__(self, ids: np.ndarray) -> Tensor:
@@ -206,11 +214,7 @@ class LanguagePipeline(Module):
         ids = np.asarray(ids, dtype=np.int64)
         b, l, s = ids.shape
         x = token_embed(ids, self.table).reshape(b * l, s, c.d_l)
-        mask = (ids != c.pad_id).reshape(b * l, s)
-        # a fully padded day would starve attention; let PAD attend to
-        # itself in that case
-        dead = ~mask.any(axis=-1)
-        mask[dead, 0] = True
+        mask = visible_tokens(ids, c.pad_id).reshape(b * l, s)
         positions = np.arange(s)
         if c.lang_pos == "xpos":
             rope = lambda q, k: apply_xpos(q, k, positions)
@@ -240,7 +244,6 @@ class VisionPipeline(Module):
                             "vision.patch")
         out_scale = 1.0 / math.sqrt(2.0 * config.vision_depth)
         self.blocks = [DividedSpaceTimeBlock(rng, config.d_p, config.heads,
-                                             config.mlp_ratio,
                                              f"vision.block{i}", out_scale)
                        for i in range(config.vision_depth)]
 

@@ -1,6 +1,9 @@
 """Per-day pooling, price fusion, target-day temporal attention, and the
 classification head, assembled into the full model.
 
+A day is pooled over its real tokens only (``encoders.visible_tokens``), so
+its vector does not depend on its padding, and the model runs the language
+encoder on each distinct day cut to its length bucket (``day_widths``).
 The temporal attention builds its query from the final lag day only while
 keys and values span the whole window, so the output is a target-focused
 summary of the lag period.
@@ -13,7 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .encoders import (INIT_STD, FeedForward, LanguagePipeline, LayerNorm,
-                       Linear, Module, MultiHeadAttention, VisionPipeline)
+                       Linear, Module, MultiHeadAttention, VisionPipeline,
+                       visible_tokens)
 from .errors import ContractError, DimensionError
 from .tensor import Tensor, concat, gelu, matmul
 
@@ -30,8 +34,6 @@ class ModelConfig:
     lang_depth: int = 1
     vision_depth: int = 1
     heads: int = 2
-    temporal_heads: int = 1
-    mlp_ratio: int = 4
     lang_pos: str = "xpos"
     pooling: str = "mean_pool"       # {mean_pool, seq_proj}
     use_text: bool = True
@@ -45,8 +47,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("vocab_size", "seq_len", "lag", "d_l", "d_p", "lang_depth",
-                     "vision_depth", "heads", "temporal_heads", "mlp_ratio",
-                     "image_height", "image_width", "channels", "patch_size"):
+                     "vision_depth", "heads", "image_height", "image_width",
+                     "channels", "patch_size"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ContractError(f"{name} must be an integer >= 1, "
@@ -92,14 +94,16 @@ class ModelConfig:
 # -- pooling -----------------------------------------------------------
 
 
-def mean_pool(l_out: Tensor) -> Tensor:
-    """Average over the token axis of (b, l, s, d), PAD positions included
-    (the plain 1/s formulation)."""
-    return l_out.mean(axis=2)
+def mean_pool(l_out: Tensor, visible: np.ndarray) -> Tensor:
+    """Average of each day's token vectors, (..., s, d) -> (..., d), over
+    its ``visible`` (..., s) positions only. PAD positions get a weight of
+    exactly 0, so a day's vector does not depend on how far it is padded."""
+    weights = visible / visible.sum(axis=-1, keepdims=True)
+    return (l_out * Tensor(weights[..., None])).sum(axis=-2)
 
 
 class SequenceProjection(Module):
-    """Learned reduction of the second-to-last axis (s tokens of a day, or
+    """Learned reduction of the second-to-last axis (the tokens of a day, or
     every patch of the window) followed by layer norm and GELU. No bias:
     a scalar added to every lane is removed again by the layer norm's
     centering."""
@@ -111,11 +115,17 @@ class SequenceProjection(Module):
         self.norm = LayerNorm(dim, f"{name}.norm")
         self.name = name
 
-    def __call__(self, seq: Tensor) -> Tensor:
-        if seq.shape[-2] != self.seq_len:
+    def __call__(self, seq: Tensor, visible: np.ndarray | None = None) -> Tensor:
+        """Weigh the first n <= seq_len positions of (..., n, d); with
+        ``visible`` (..., n), only the visible positions."""
+        n = seq.shape[-2]
+        if n > self.seq_len:
             raise DimensionError(
-                f"expected sequence axis {self.seq_len}, got {seq.shape[-2]}")
-        projected = matmul(self.weight, seq)   # (..., 1, d)
+                f"expected at most {self.seq_len} positions, got {n}")
+        weight = self.weight if n == self.seq_len else self.weight[:, :n]
+        if visible is not None:
+            weight = weight * Tensor(visible[..., None, :])
+        projected = matmul(weight, seq)   # (..., 1, d)
         squeezed = projected.reshape(*seq.shape[:-2], seq.shape[-1])
         return gelu(self.norm(squeezed))
 
@@ -134,18 +144,37 @@ def fuse_price(l_seq: Tensor | None, macd: Tensor | None) -> Tensor:
     return concat([l_seq, macd], axis=-1)
 
 
+def day_widths(visible: np.ndarray) -> np.ndarray:
+    """The tokens each day row of ``visible`` (u, s) is encoded on: up to
+    its last visible one, rounded up to a multiple of 8 and capped at s.
+
+    Rounding keeps the bucket count small, and it keeps results
+    bit-identical to full width: past a day's last visible token, attention
+    and pooling only add terms of weight exactly 0, and numpy sums a row of
+    up to 128 elements in 8 interleaved lanes, so dropping whole blocks of 8
+    trailing zeros leaves every lane, and so the sum, unchanged (the tests
+    pin this at s = 32 and 128). Past 128 numpy's pairwise split moves with
+    the row length, and results agree to roundoff only. This is the packing
+    of Krell et al. 2021 (arXiv 2107.02027), by length bucket.
+    """
+    s = visible.shape[-1]
+    need = s - np.argmax(visible[:, ::-1], axis=-1)
+    return np.minimum(-(-need // 8) * 8, s)
+
+
 # -- temporal attention ------------------------------------------------
 
 
 class QueryTargetAttention(MultiHeadAttention):
-    """Attention whose query comes from the final (target-adjacent) day,
-    with a residual onto that day and a pre-norm FFN sub-layer."""
+    """Single-head attention whose query comes from the final
+    (target-adjacent) day, with a residual onto that day and a pre-norm FFN
+    sub-layer. One head, since the fused width ``d_t`` (d_l plus 5 MACD
+    lanes) is odd at every even ``d_l``."""
 
-    def __init__(self, rng, dim: int, heads: int = 1, name: str = "temporal",
-                 mlp_ratio: int = 4):
-        super().__init__(rng, dim, heads, name)
+    def __init__(self, rng, dim: int, name: str = "temporal"):
+        super().__init__(rng, dim, 1, name)
         self.ffn_norm = LayerNorm(dim, f"{name}.ffn_norm")
-        self.ffn = FeedForward(rng, dim, mlp_ratio, f"{name}.ffn")
+        self.ffn = FeedForward(rng, dim, f"{name}.ffn")
 
     def __call__(self, fused: Tensor) -> Tensor:
         b, l, d = fused.shape
@@ -194,8 +223,7 @@ class MeantModel(Module):
 
         self.temporal = None
         if c.use_text or c.use_price:
-            self.temporal = QueryTargetAttention(
-                rng, c.d_t, heads=c.temporal_heads, mlp_ratio=c.mlp_ratio)
+            self.temporal = QueryTargetAttention(rng, c.d_t)
 
         final_dim = (c.d_t if self.temporal is not None else 0) \
             + (c.d_p if c.use_image else 0)
@@ -226,18 +254,7 @@ class MeantModel(Module):
 
         t_lang = None
         if self.temporal is not None:
-            l_seq = None
-            if c.use_text:
-                # a day row's encoding depends on its own token ids only, so
-                # each distinct row is encoded once and gathered back; the
-                # gather's scatter-add backward sums repeated days' gradients
-                days, inverse = np.unique(np.reshape(ids, (-1, c.seq_len)),
-                                          axis=0, return_inverse=True)
-                l_out = self.language(days[None])
-                pooled = (mean_pool(l_out) if self.pool is None
-                          else self.pool(l_out))
-                l_seq = pooled.reshape(len(days), c.d_l)[
-                    inverse.reshape(len(ids), c.lag)]
+            l_seq = self._encode_days(ids) if c.use_text else None
             m_in = None
             if c.use_price:
                 m_in = Tensor(np.asarray(macd, dtype=np.float64))
@@ -253,6 +270,36 @@ class MeantModel(Module):
         return self.head(final)
 
     __call__ = forward
+
+    def _encode_days(self, ids: np.ndarray) -> Tensor:
+        """Pooled day vectors (b, lag, d_l) of the token ids (b, lag, s).
+
+        A day's vector depends on its own real tokens only, so each distinct
+        day row is encoded once, on its first ``day_widths`` tokens: the
+        rows are bucketed by width, each bucket runs the language encoder
+        and the pooling once, and one gather puts the pooled rows back into
+        their windows (its scatter-add backward sums repeated days'
+        gradients). Past a row's width lie PAD tokens only, which neither
+        attention nor pooling reads, so this equals running every row at
+        full width; at s <= 128 bit for bit (``day_widths``).
+        """
+        c = self.config
+        days, inverse = np.unique(np.reshape(ids, (-1, c.seq_len)), axis=0,
+                                  return_inverse=True)
+        visible = visible_tokens(days, c.pad_id)
+        widths = day_widths(visible)
+        order = np.argsort(widths, kind="stable")
+        pooled, start = [], 0
+        for w, n in zip(*np.unique(widths, return_counts=True)):
+            rows = order[start:start + n]
+            start += n
+            l_out = self.language(days[None, rows, :w])
+            seen = visible[None, rows, :w]
+            pooled.append(mean_pool(l_out, seen) if self.pool is None
+                          else self.pool(l_out, seen))
+        pooled = pooled[0] if len(pooled) == 1 else concat(pooled, axis=1)
+        slot = np.argsort(order)[inverse]    # each window day's pooled row
+        return pooled.reshape(len(days), c.d_l)[slot.reshape(len(ids), c.lag)]
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params().values())

@@ -18,21 +18,6 @@ keeps none of their intermediates:
 - ``rotate_pairs``: the rotation behind rotary, axial 2-D rotary and xPos
   (whose scale is folded into the cos/sin tables).
 
-Under a key-padding mask -- one row of visible keys per leading index,
-shape (b, 1, ..., 1, n_k), as the language encoder's PAD mask --
-``attention`` groups the rows by the keys they need: those up to the row's
-last visible key, rounded up to a multiple of 8 and capped at n_k. Each
-group scores, normalizes and sums over its first ``w`` keys only, and the
-keys past ``w`` get exact zeros as gradient. A short day row so stops
-paying for its PAD suffix (after Krell et al. 2021, arXiv 2107.02027)
-without changing a bit of its result: a skipped key's weight is exactly 0
-either way, so it only ever added exact zeros, and because numpy sums a row
-of up to 128 elements in 8 interleaved lanes, dropping whole blocks of 8
-trailing zeros leaves every lane, and so the row sum, unchanged. Past 128
-keys numpy's pairwise split moves with the row length, and the results
-agree to roundoff only. Any other mask, or none, is one group of all rows
-at full width.
-
 Everything is double precision on purpose -- this stack exists to be
 checked against finite differences.
 
@@ -281,13 +266,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (self,), bwd)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -390,45 +368,6 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
     return p
 
 
-def _key_groups(q_shape: tuple[int, ...], k_shape: tuple[int, ...],
-                v_shape: tuple[int, ...], mask: np.ndarray | None
-                ) -> list[tuple[np.ndarray | slice, int]]:
-    """Rows of a key-padding mask grouped by the keys they need, as
-    ``(rows, w)`` pairs: each row of ``rows`` sees no key at or past ``w``.
-
-    A key-padding mask has shape (b, 1, ..., 1, n_k) and q, k and v share
-    their leading axes (b, ...). A row needs the keys up to its last
-    visible one, rounded up to a multiple of 8 and capped at n_k. Any
-    other call is one group: all rows at full width.
-    """
-    n_k = k_shape[-2]
-    lead = q_shape[:-2]
-    if (mask is None or not lead or k_shape[:-2] != lead
-            or v_shape[:-2] != lead
-            or mask.shape != lead[:1] + (1,) * (len(lead) - 1) + (1, n_k)):
-        return [(slice(None), n_k)]
-    need = n_k - np.argmax(mask.reshape(lead[0], n_k)[:, ::-1], axis=-1)
-    width = np.minimum(-(-need // 8) * 8, n_k)
-    widths = np.unique(width)
-    if len(widths) == 1:
-        return [(slice(None), int(widths[0]))]
-    return [(np.flatnonzero(width == w), int(w)) for w in widths]
-
-
-def _merge_rows(parts: list[np.ndarray],
-                groups: list[tuple[np.ndarray | slice, int]],
-                shape: tuple[int, ...], keyed: bool) -> np.ndarray:
-    """One array of ``shape`` from per-group results: each part fills its
-    group's rows and, when ``keyed``, the first ``w`` entries of the key
-    axis (-2). Entries no group fills are exactly 0."""
-    if len(parts) == 1 and parts[0].shape == shape:
-        return parts[0]
-    full = np.zeros(shape)
-    for (rows, w), part in zip(groups, parts):
-        full[..., :w if keyed else None, :][rows] = part
-    return full
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention softmax(q k^T * scale) @ v as one node.
@@ -439,10 +378,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     uses dS = P * (dP - rowsum(dP * P)) (Dao et al. 2022). Their equal
     rowsum(dO * O) is not used: where P is one-hot it does not cancel
     dP exactly, and huge keys (xPos at s=128) magnify the remainder.
-
-    Under a key-padding mask the rows are grouped by the keys they need
-    (``_key_groups``) and each group only scores its first ``w`` keys; the
-    keys past ``w`` get exactly zero weight and zero gradient either way.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(
@@ -452,47 +387,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         mask = np.asarray(mask, dtype=bool)
         if (~mask).all(axis=-1).any():
             raise NumericError("attention row with every key masked")
-    groups = _key_groups(q.shape, k.shape, v.shape, mask)
-
-    def operands(rows, w):
-        return q.data[rows], k.data[..., :w, :][rows], v.data[..., :w, :][rows]
-
-    probs, outs = [], []
-    for rows, w in groups:
-        qg, kg, vg = operands(rows, w)
-        p = attention_weights(qg, kg, scale,
-                              None if mask is None else mask[..., :w][rows])
-        probs.append(p)
-        outs.append(np.matmul(p, vg))
-    out_shape = (np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-                 + q.shape[-2:-1] + v.shape[-1:])
-    out_data = _merge_rows(outs, groups, out_shape, keyed=False)
+    p = attention_weights(q.data, k.data, scale, mask)
+    out_data = np.matmul(p, v.data)
 
     def bwd(g):
-        gqs, gks, gvs = [], [], []
-        for (rows, w), p in zip(groups, probs):
-            qg, kg, vg = operands(rows, w)
-            gg = g[rows]
-            if v.requires_grad:
-                gvs.append(_unbroadcast(np.matmul(p.swapaxes(-1, -2), gg),
-                                        vg.shape))
-            if q.requires_grad or k.requires_grad:
-                ds = np.matmul(gg, vg.swapaxes(-1, -2))
-                ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
-                ds *= p
-                if q.requires_grad:
-                    gq = np.matmul(ds, kg)
-                    gq *= scale
-                    gqs.append(_unbroadcast(gq, qg.shape))
-                if k.requires_grad:
-                    gk = np.matmul(ds.swapaxes(-1, -2), qg * scale)
-                    gks.append(_unbroadcast(gk, kg.shape))
-        if gvs:
-            v._accumulate(_merge_rows(gvs, groups, v.shape, keyed=True))
-        if gqs:
-            q._accumulate(_merge_rows(gqs, groups, q.shape, keyed=False))
-        if gks:
-            k._accumulate(_merge_rows(gks, groups, k.shape, keyed=True))
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(np.matmul(p.swapaxes(-1, -2), g),
+                                       v.shape))
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(g, v.data.swapaxes(-1, -2))
+            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+            ds *= p
+            if q.requires_grad:
+                gq = np.matmul(ds, k.data)
+                gq *= scale
+                q._accumulate(_unbroadcast(gq, q.shape))
+            if k.requires_grad:
+                gk = np.matmul(ds.swapaxes(-1, -2), q.data * scale)
+                k._accumulate(_unbroadcast(gk, k.shape))
 
     return Tensor._from_op(out_data, (q, k, v), bwd)
 

@@ -17,7 +17,7 @@ from .sealed import Reader, seal
 from .tensor import Tensor, no_grad
 
 CHECKPOINT_MAGIC = b"MEAN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

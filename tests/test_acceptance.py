@@ -15,8 +15,9 @@ import pytest
 from conftest import (padded_days, softmax_last_dim, target_weights, toy_batch,
                       toy_model)
 from meant.checks import model_grad_check
+from meant.cli import _padded_day_ids
 from meant.dataset import build_lag_windows, load_dataset, save_dataset, stocknet_label
-from meant.encoders import VisionPipeline
+from meant.encoders import VisionPipeline, visible_tokens
 from meant.fusion import (ModelConfig, QueryTargetAttention,
                           SequenceProjection, mean_pool)
 from meant.indicators import (CrossSignal, IndicatorSeries, PriceSeries,
@@ -165,8 +166,8 @@ def test_criterion_5_shape_contracts():
     i_out = model.vision(batch["images"])
     ok = ok and i_out.data.ndim == 3
     ok = ok and i_out.shape == (2, c.lag * model.vision.n_p, c.d_p)
-    fused = Tensor(np.concatenate(
-        [mean_pool(l_out).data, batch["macd"]], axis=-1))
+    pooled = mean_pool(l_out, visible_tokens(batch["ids"], c.pad_id))
+    fused = Tensor(np.concatenate([pooled.data, batch["macd"]], axis=-1))
     t_lang = model.temporal(fused)
     ok = ok and t_lang.shape == (2, c.d_t)
     logits = model(batch["ids"], batch["macd"], batch["images"])
@@ -210,7 +211,7 @@ def test_criterion_6_gradient_suite():
                                            bias).sum() + 2.0 * t.sum(),
         "cross_entropy": lambda t: cross_entropy(t.reshape(3, 2), labels)
         + 2.0 * t.sum(),
-        "mean": lambda t: (t * t).reshape(2, 3).mean(axis=-1).sum(),
+        "mean": lambda t: ((t * t).reshape(2, 3).sum(axis=-1) * (1 / 3)).sum(),
         "padded_attention": lambda t: (attention(
             *(tokens * t,) * 3, 0.5, padded) * probe_att).sum() + 2.0 * t.sum(),
     }
@@ -235,6 +236,13 @@ def test_criterion_6_gradient_suite():
             errors = model_grad_check(model, batch, step=1e-5, max_coords=20,
                                       seed=1)
             worst_model = max(worst_model, max(errors.values()))
+        # the gradcheck command's right-padded days, in 3 length buckets
+        model = toy_model(seq_len=24, pooling=pooling)
+        perturb_params(model, seed=3)
+        batch = toy_batch(model.config)
+        batch["ids"] = _padded_day_ids(model.config, np.random.default_rng(4))
+        errors = model_grad_check(model, batch, step=1e-5, max_coords=20, seed=1)
+        worst_model = max(worst_model, max(errors.values()))
     elapsed = time.monotonic() - start
     _verdict(6, f"gradient suite (ops {worst_op:.1e}, model "
              f"{worst_model:.1e}, {elapsed:.0f}s)",
@@ -262,21 +270,29 @@ def test_criterion_7_temporal_attention_properties():
 
 
 def test_criterion_8_pooling_dichotomy():
+    # uniform weights over a day's visible tokens make the learned pooling
+    # mean pooling: 1/s over unpadded days, and 1/n over days of n real
+    # tokens, whatever follows them
     rng = np.random.default_rng(8)
-    s, d = 6, 8
+    s, d, n = 6, 8, 4
     proj = SequenceProjection(rng, s, d, "p")
-    proj.weight.data[:] = 1.0 / s
     x = rng.normal(size=(2, 3, s, d))
-    via_proj = proj(Tensor(x)).data
-    via_mean = gelu(layer_norm(mean_pool(Tensor(x)), proj.norm.gain,
-                               proj.norm.bias)).data
-    ok = np.max(np.abs(via_proj - via_mean)) < 1e-10
+    ok = True
+    for real, weight in ((s, 1.0 / s), (n, 1.0 / n)):
+        proj.weight.data[:] = rng.normal(size=s)
+        proj.weight.data[:, :real] = weight
+        visible = np.broadcast_to(np.arange(s) < real, (2, 3, s))
+        via_proj = proj(Tensor(x), visible).data
+        via_mean = gelu(layer_norm(mean_pool(Tensor(x), visible),
+                                   proj.norm.gain, proj.norm.bias)).data
+        ok = ok and np.max(np.abs(via_proj - via_mean)) < 1e-10
 
     s_toy, d_toy = 4, 8  # conftest toy dims
     delta = (toy_model(pooling="seq_proj").parameter_count()
              - toy_model(pooling="mean_pool").parameter_count())
     ok = ok and delta == s_toy + 2 * d_toy
-    _verdict(8, "uniform learned pooling equals mean pooling; "
+    _verdict(8, "uniform learned pooling over visible tokens equals mean "
+             "pooling; "
              f"parameter delta {delta} = s+2d", ok)
 
 

@@ -181,7 +181,8 @@ class TestTrain:
         # an unknown key, keys retired from ModelConfig and TrainConfig,
         # and bad values
         for model, train in (({"wings": 2}, {}), ({"use_pad_mask": 2}, {}),
-                             ({"norm_mode": 2}, {}), ({"heads": 0}, {}),
+                             ({"norm_mode": 2}, {}), ({"temporal_heads": 1}, {}),
+                             ({"mlp_ratio": 4}, {}), ({"heads": 0}, {}),
                              ({"d_l": "8"}, {}),
                              ({}, {"schedule_unit": "step"}),
                              ({}, {"t0": 7.0})):
@@ -356,6 +357,19 @@ class TestEval:
                    "--data", str(workspace["data"]), "--out", str(tmp_path)])
         assert rc == 1
         assert "temporal_ffn" in capsys.readouterr().err
+
+    def test_version_2_checkpoint_exits_one(self, workspace, trained,
+                                            tmp_path, capsys):
+        # version 2 pooled PAD positions too, so its parameters would be
+        # read by a model computing another function; resealed, so only the
+        # version fails
+        body = (trained / "model.ckpt").read_bytes()[4:-4]   # version onwards
+        old = tmp_path / "v2.ckpt"
+        old.write_bytes(seal(CHECKPOINT_MAGIC, struct.pack("<I", 2) + body[4:]))
+        rc = main(["eval", "--checkpoint", str(old),
+                   "--data", str(workspace["data"]), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: unsupported checkpoint version 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cut", ["header", "name", "parameter", "trailing",
                                      "name_not_utf8"])
@@ -551,7 +565,8 @@ class TestGradcheckCommand:
         assert "op gather" in out
         assert "op padded_attn" in out
         for pooling in ("mean_pool", "seq_proj"):
-            assert f"model ({pooling}, shared days) max rel err" in out
+            for days in ("shared", "padded"):
+                assert f"model ({pooling}, {days} days) max rel err" in out
 
 
 class TestRenderGraphs:
@@ -609,7 +624,7 @@ class TestRunConfig:
 
     def test_unknown_model_key(self):
         for key in ("dropout", "use_pad_mask", "temporal_ffn", "axial_literal",
-                    "norm_mode", "temporal_pos"):
+                    "norm_mode", "temporal_pos", "temporal_heads", "mlp_ratio"):
             with pytest.raises(ConfigError, match=key):
                 RunConfig.from_dict({"model": {key: 1}})
 

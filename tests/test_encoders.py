@@ -97,7 +97,7 @@ class TestMultiHeadAttention:
 
 class TestFeedForward:
     def test_hidden_width(self):
-        ffn = FeedForward(rng_(), 8, 4, "f")
+        ffn = FeedForward(rng_(), 8, "f")
         assert ffn.fc1.weight.shape == (8, 32)
         assert ffn.fc2.weight.shape == (32, 8)
 

@@ -5,10 +5,12 @@ import pytest
 
 from conftest import (TOY_MODEL, padded_days, target_weights, toy_batch,
                       toy_model)
+from meant.encoders import visible_tokens
 from meant.errors import ContractError, DimensionError
 from meant.fusion import (MeantModel, ModelConfig, QueryTargetAttention,
-                          SequenceProjection, fuse_price, mean_pool)
-from meant import tensor
+                          SequenceProjection, day_widths, fuse_price,
+                          mean_pool)
+from meant import fusion
 from meant.tensor import Tensor, concat
 from meant.training import cross_entropy
 
@@ -41,8 +43,8 @@ class TestModelConfig:
             ModelConfig(pooling="max_pool")
 
     @pytest.mark.parametrize("bad", [
-        {"heads": 0}, {"temporal_heads": 0}, {"d_l": "8"}, {"lag": 0},
-        {"mlp_ratio": 0}, {"seq_len": -1}, {"vocab_size": True},
+        {"heads": 0}, {"vision_depth": 0}, {"d_l": "8"}, {"lag": 0},
+        {"lang_depth": 2.5}, {"seq_len": -1}, {"vocab_size": True},
         {"patch_size": 4.0}, {"pad_id": 12}, {"pad_id": -1},
         {"pad_id": None}, {"use_text": 1}, {"lang_pos": "bogus"},
         {"d_p": 12}])
@@ -53,14 +55,29 @@ class TestModelConfig:
 
 class TestMeanPool:
     def test_matches_loop_oracle(self):
+        # each day averages its visible tokens only, PAD inside a day too
         x = rng_(1).normal(size=(2, 3, 4, 5))
-        out = mean_pool(Tensor(x)).data
+        visible = rng_(2).random((2, 3, 4)) < 0.6
+        visible[..., 0] = True
+        visible[1, 2] = [True, False, False, True]
+        out = mean_pool(Tensor(x), visible).data
         want = np.zeros((2, 3, 5))
         for b in range(2):
             for l in range(3):
+                n = visible[b, l].sum()
                 for s in range(4):
-                    want[b, l] += x[b, l, s] / 4
+                    if visible[b, l, s]:
+                        want[b, l] += x[b, l, s] / n
         assert np.max(np.abs(out - want)) < 1e-12
+
+    def test_pad_rows_reach_neither_value_nor_gradient(self):
+        x = Tensor(rng_(3).normal(size=(2, 6, 4)), requires_grad=True)
+        visible = np.arange(6) < np.array([[2], [5]])
+        out = mean_pool(x, visible)
+        x.data[~visible] = 1e300
+        assert out.data.tobytes() == mean_pool(x, visible).data.tobytes()
+        out.sum().backward()
+        assert not x.grad[~visible].any() and x.grad[visible].all()
 
 
 class TestSequenceProjection:
@@ -85,9 +102,20 @@ class TestSequenceProjection:
         assert b - a == s + 2 * d
 
     def test_wrong_sequence_length(self):
+        # a bucket of days shorter than seq_len uses the leading weights;
+        # more positions than weights is an error
         proj = SequenceProjection(rng_(6), 6, 8, "p")
+        assert proj(Tensor(rng_(7).normal(size=(1, 1, 5, 8)))).shape == (1, 1, 8)
         with pytest.raises(DimensionError):
-            proj(Tensor(rng_(7).normal(size=(1, 1, 5, 8))))
+            proj(Tensor(rng_(7).normal(size=(1, 1, 7, 8))))
+
+    def test_masked_positions_are_ignored(self):
+        proj = SequenceProjection(rng_(8), 6, 8, "p")
+        x = rng_(9).normal(size=(2, 1, 5, 8))
+        visible = np.arange(5) < np.array([[3], [5]])[:, None]
+        out = proj(Tensor(x), visible).data
+        x[:, :, 3:][~visible[:, :, 3:]] = 1e6
+        assert out.tobytes() == proj(Tensor(x), visible).data.tobytes()
 
 
 class TestFusePrice:
@@ -123,10 +151,10 @@ class TestQueryTargetAttention:
         assert np.max(np.abs(out.data - want)) < 1e-12
 
     def test_weights_sum_to_one(self):
-        qta = QueryTargetAttention(rng_(14), 8, heads=2)
+        qta = QueryTargetAttention(rng_(14), 8)
         fused = Tensor(rng_(15).normal(size=(3, 5, 8)))
         w = target_weights(qta, fused)
-        assert w.shape == (3, 2, 1, 5)
+        assert w.shape == (3, 1, 1, 5)
         assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
 
     def test_history_permutation_changes_only_weights(self):
@@ -142,7 +170,7 @@ class TestQueryTargetAttention:
     def test_weights_are_the_ones_the_forward_uses(self):
         # the output is wo(weights @ values) plus the target day, then the
         # FFN sub-layer
-        qta = QueryTargetAttention(rng_(30), 8, heads=2)
+        qta = QueryTargetAttention(rng_(30), 8)
         fused = Tensor(rng_(31).normal(size=(2, 4, 8)))
         w = target_weights(qta, fused)
         v = qta._split(qta.wv(fused)).data
@@ -161,9 +189,11 @@ class TestQueryTargetAttention:
         assert np.all(x.grad[0, :3] == 0.0)
         assert np.any(x.grad[0, 3] != 0.0)
 
-    def test_indivisible_heads(self):
-        with pytest.raises(DimensionError):
-            QueryTargetAttention(rng_(25), 9, heads=2)
+    def test_is_single_head(self):
+        # the fused width d_l + 5 is odd at every even d_l
+        qta = QueryTargetAttention(rng_(25), 37)
+        assert (qta.heads, qta.head_dim) == (1, 37)
+        assert qta(Tensor(rng_(26).normal(size=(2, 3, 37)))).shape == (2, 37)
 
 
 class TestMeantModel:
@@ -305,9 +335,12 @@ def _rolling_ids(config: ModelConfig, b: int, seed: int = 0) -> np.ndarray:
 
 
 def _per_window_forward(model: MeantModel, ids, macd, images) -> Tensor:
-    """The model's forward with every (window, day) row encoded on its own."""
+    """The model's forward with every (window, day) row encoded on its own,
+    at full width."""
     l_out = model.language(ids)
-    l_seq = mean_pool(l_out) if model.pool is None else model.pool(l_out)
+    visible = visible_tokens(ids, model.config.pad_id)
+    l_seq = (mean_pool(l_out, visible) if model.pool is None
+             else model.pool(l_out, visible))
     parts = [model.temporal(fuse_price(l_seq, Tensor(macd)))]
     if model.vision is not None:
         parts.append(model.image_proj(model.vision(images)))
@@ -321,10 +354,12 @@ def _logits_and_grads(model, forward, batch):
     return logits.data, {k: p.grad for k, p in model.params().items()}
 
 
-def _assert_matches_per_window(model, batch):
+def _assert_matches_per_window(model, batch, reference=None):
+    """The model's logits equal ``reference``'s (by default the per-window
+    forward) bit for bit, and its gradients to roundoff."""
     got, got_grads = _logits_and_grads(model, model, batch)
     want, want_grads = _logits_and_grads(
-        model, lambda *x: _per_window_forward(model, *x), batch)
+        model, reference or (lambda *x: _per_window_forward(model, *x)), batch)
     assert got.tobytes() == want.tobytes()
     for name, g in want_grads.items():
         scale = np.abs(g).max()
@@ -369,20 +404,51 @@ class TestDistinctDayEncoding:
         _assert_matches_per_window(model, batch)
 
 
-class TestKeyGroups:
-    """Language attention groups day rows by the keys they need."""
+class TestLengthBuckets:
+    """Each distinct day is encoded on its first ``day_widths`` tokens."""
 
-    def test_padded_days_match_single_group_path(self, monkeypatch):
+    def test_widths(self):
+        visible = np.zeros((5, 20), dtype=bool)
+        for row, n in enumerate((1, 8, 9, 17, 20)):
+            visible[row, :n] = True
+        visible[1, 3] = False                  # PAD inside a day
+        assert day_widths(visible).tolist() == [8, 8, 16, 20, 20]
+
+    @pytest.mark.parametrize("pooling", ["mean_pool", "seq_proj"])
+    def test_bucketed_forward_equals_full_width(self, monkeypatch, pooling):
         model = toy_model(vocab_size=40, seq_len=32, lag=3, d_l=16,
-                          lang_depth=2, use_image=False)
+                          lang_depth=2, use_image=False, pooling=pooling)
         batch = toy_batch(model.config, b=6, seed=4)
         batch["ids"] = padded_days(model.config, (6, 3), seed=5)
-        lengths = (batch["ids"] != model.config.pad_id).sum(axis=-1)
-        assert len(np.unique(np.minimum(-(-lengths // 8) * 8, 32))) >= 3
-        got, got_grads = _logits_and_grads(model, model, batch)
-        monkeypatch.setattr(tensor, "_key_groups",
-                            lambda q, k, v, mask: [(slice(None), k[-2])])
-        want, want_grads = _logits_and_grads(model, model, batch)
-        assert np.abs(got - want).max() <= 1e-12
-        for name, g in want_grads.items():
-            assert np.abs(got_grads[name] - g).max() <= 1e-12, name
+        batch["ids"][2, 1] = model.config.pad_id
+        days = batch["ids"].reshape(-1, 32)
+        assert len(np.unique(day_widths(visible_tokens(days, 0)))) >= 3
+
+        def full_width(*inputs):
+            with monkeypatch.context() as m:
+                m.setattr(fusion, "day_widths",
+                          lambda visible: np.full(len(visible), 32))
+                return model(*inputs)
+
+        _assert_matches_per_window(model, batch, full_width)
+
+    @pytest.mark.parametrize("pooling", ["mean_pool", "seq_proj"])
+    def test_day_vectors_do_not_depend_on_padding(self, pooling):
+        # the same day rows padded to 16 and to 32 tokens, a fully padded
+        # day among them, give the same day vectors and logits
+        short = toy_model(vocab_size=40, seq_len=16, lag=3, d_l=16,
+                          use_image=False, pooling=pooling)
+        long = toy_model(vocab_size=40, seq_len=32, lag=3, d_l=16,
+                         use_image=False, pooling=pooling)
+        for name, p in long.params().items():
+            src = short.params()[name].data
+            p.data[..., :src.shape[-1]] = src
+        batch = toy_batch(short.config, b=4, seed=6)
+        ids = padded_days(short.config, (4, 3), seed=7)
+        ids[1, 0] = short.config.pad_id
+        wide = np.zeros((4, 3, 32), dtype=ids.dtype)
+        wide[..., :16] = ids
+        days, logits = zip(*((model._encode_days(x).data.tobytes(),
+                              model(x, batch["macd"], None).data.tobytes())
+                             for model, x in ((short, ids), (long, wide))))
+        assert days[0] == days[1] and logits[0] == logits[1]

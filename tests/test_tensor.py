@@ -15,8 +15,8 @@ from meant import tensor
 from meant.cli import _op_checks
 from meant.errors import ContractError, DimensionError, NumericError
 from meant.fusion import MeantModel, ModelConfig
-from meant.tensor import (Tensor, _key_groups, attention, gelu, grad_check,
-                          layer_norm, matmul, no_grad, rotate_pairs)
+from meant.tensor import (Tensor, attention, gelu, grad_check, layer_norm,
+                          matmul, no_grad, rotate_pairs)
 from meant.training import cross_entropy
 
 
@@ -300,11 +300,6 @@ class TestGroupedAttention:
 
     def operands(self):
         return [rand(*s, seed=i) for i, s in enumerate(self.shapes)]
-
-    def test_rows_fall_in_three_widths(self):
-        groups = _key_groups(*self.shapes, key_padding_mask())
-        assert [(list(rows), w) for rows, w in groups] == \
-            [([0, 4], 8), ([1], 16), ([2, 3], 24)]
 
     def test_matches_unfused_ops(self):
         q, k, v = self.operands()

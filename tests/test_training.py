@@ -349,8 +349,8 @@ class TestCheckpoint:
             restore_model(path)
 
     @pytest.mark.parametrize("overrides,crc", [
-        ({}, 0x726c1988),
-        ({"pooling": "seq_proj", "lang_pos": "rotary"}, 0x788c13a0)],
+        ({}, 0x820fc6d1),
+        ({"pooling": "seq_proj", "lang_pos": "rotary"}, 0x07bca937)],
         ids=["default", "seq_proj_rotary"])
     def test_checkpoint_bytes_pinned(self, tmp_path, overrides, crc):
         # the stored CRC footer covers the config, the binding and every
