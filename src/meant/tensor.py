@@ -452,38 +452,63 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._from_op(out_data, parts, bwd)
 
 
-def grad_check(f: Callable[..., Tensor], *inputs: Tensor,
-               step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference grads of
-    the scalar ``f(*inputs)``, over every element of every input."""
+# C * eps in the roundoff C * eps * max|f(x +- h)| / h of a central difference:
+# the test suite's correct gradients need C >= 1.5, and the smallest planted bug
+# of tests/test_gradcheck_mutants.py stays visible up to C ~ 1e5
+ROUNDOFF = 16.0 * np.finfo(np.float64).eps
+
+
+def central_difference_errors(loss: Callable[[], Tensor], leaves: Sequence[Tensor],
+                              coords: Sequence, step: float) -> list[float]:
+    """Per leaf, the worst error of the analytic gradient of the scalar
+    ``loss()`` against central differences at the leaf's flat ``coords``.
+
+    With a the analytic and n = (f(x+h) - f(x-h)) / 2h the numeric
+    derivative, a difference |a - n| up to the roundoff of n,
+    ``ROUNDOFF * max(|f(x+h)|, |f(x-h)|) / h``, does not count; the rest is
+    relative to |a| + |n|, so 0 means no difference beyond roundoff. A
+    gradient shaped unlike its leaf has an error of inf.
+    """
     if step <= 0:
         raise ContractError("step must be positive")
-    if not inputs:
-        raise ContractError("grad_check needs at least one input")
-    xs = [Tensor(x.data.copy(), requires_grad=True) for x in inputs]
-    out = f(*xs)
+    for x in leaves:
+        x.zero_grad()
+    out = loss()
     if not np.isfinite(out.data).all():
         raise NumericError("function output is not finite")
     out.backward()
-    analytic = np.concatenate([
-        (np.zeros(x.size) if x.grad is None else x.grad.reshape(-1))
-        for x in xs])
+    errors = []
+    with no_grad():
+        for x, idx in zip(leaves, coords):
+            grad = np.zeros(x.shape) if x.grad is None else x.grad
+            if grad.shape != x.shape:
+                errors.append(math.inf)
+                continue
+            analytic, flat, worst = grad.reshape(-1), x.data.reshape(-1), 0.0
+            for i in idx:
+                orig = flat[i]
+                flat[i] = orig + step
+                hi = loss().item()
+                flat[i] = orig - step
+                lo = loss().item()
+                flat[i] = orig
+                if not (math.isfinite(hi) and math.isfinite(lo)):
+                    raise NumericError("function output is not finite")
+                numeric = (hi - lo) / (2.0 * step)
+                excess = (abs(analytic[i] - numeric)
+                          - ROUNDOFF * max(abs(hi), abs(lo)) / step)
+                if excess > 0:
+                    worst = max(worst, excess / (abs(analytic[i]) + abs(numeric)))
+            errors.append(worst)
+    return errors
 
-    numeric = []
-    for x in xs:
-        flat = x.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            with no_grad():
-                hi = f(*xs).item()
-            flat[i] = orig - step
-            with no_grad():
-                lo = f(*xs).item()
-            flat[i] = orig
-            if not (math.isfinite(hi) and math.isfinite(lo)):
-                raise NumericError("function output is not finite")
-            numeric.append((hi - lo) / (2.0 * step))
 
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))
+def grad_check(f: Callable[..., Tensor], *inputs: Tensor,
+               step: float = 1e-5) -> float:
+    """Max ``central_difference_errors`` of the scalar ``f(*inputs)`` over
+    every element of every input."""
+    if not inputs:
+        raise ContractError("grad_check needs at least one input")
+    xs = [Tensor(x.data.copy(), requires_grad=True) for x in inputs]
+    return max(central_difference_errors(lambda: f(*xs), xs,
+                                         [range(x.size) for x in xs], step))

@@ -13,6 +13,16 @@ from meant.tokenizer import build_vocab
 TOY_MODEL = dict(vocab_size=12, seq_len=4, lag=2, d_l=8, d_p=8, heads=2,
                  image_height=8, image_width=8, patch_size=4)
 
+# the ``meant gradcheck`` line that checks each op the model runs that is
+# not a shape op
+GRADCHECK_LINE = {
+    "Tensor.__add__": "linear", "Tensor.__getitem__": "gather",
+    "Tensor.__mul__": "linear", "Tensor.sum": "matmul",
+    "attention": "attention", "cross_entropy": "cross_entropy",
+    "gelu": "gelu", "layer_norm": "layer_norm", "matmul": "linear",
+    "rotate_pairs": "rotary",
+}
+
 
 @pytest.fixture(scope="session")
 def sine_prices():

@@ -564,6 +564,8 @@ class TestGradcheckCommand:
         assert out.count("ok") >= 11
         assert "op gather" in out
         assert "op padded_attn" in out
+        assert "op linear" in out
+        assert "model (seq_proj) max rel err" in out
         for pooling in ("mean_pool", "seq_proj"):
             for days in ("shared", "padded"):
                 assert f"model ({pooling}, {days} days) max rel err" in out
