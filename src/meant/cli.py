@@ -340,7 +340,7 @@ def cmd_gradcheck(args) -> int:
     failures = []
     for line, name, err, gate in itertools.chain(ops, models):
         print(f"{line} max rel err {err:.3e}  {'ok' if err < gate else 'FAIL'}")
-        if err >= gate:
+        if not err < gate:
             failures.append(name)
     if failures:
         print(f"gradient check FAILED: {failures}")

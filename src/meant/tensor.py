@@ -452,9 +452,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._from_op(out_data, parts, bwd)
 
 
-# C * eps in the roundoff C * eps * max|f(x +- h)| / h of a central difference:
-# the test suite's correct gradients need C >= 1.5, and the smallest planted bug
-# of tests/test_gradcheck_mutants.py stays visible up to C ~ 1e5
+# C * eps in a central difference's roundoff C * eps * max|f(x +- h)| / h; the
+# suite's correct gradients need C >= 1.5, its planted bugs show up to C ~ 1e5
 ROUNDOFF = 16.0 * np.finfo(np.float64).eps
 
 
@@ -466,8 +465,9 @@ def central_difference_errors(loss: Callable[[], Tensor], leaves: Sequence[Tenso
     With a the analytic and n = (f(x+h) - f(x-h)) / 2h the numeric
     derivative, a difference |a - n| up to the roundoff of n,
     ``ROUNDOFF * max(|f(x+h)|, |f(x-h)|) / h``, does not count; the rest is
-    relative to |a| + |n|, so 0 means no difference beyond roundoff. A
-    gradient shaped unlike its leaf has an error of inf.
+    relative to |a| + |n|, so 0 means no difference beyond roundoff. The
+    floor grows with |f|, offsets included: keep ``loss`` O(1). A gradient
+    shaped unlike its leaf or not finite has an error of inf.
     """
     if step <= 0:
         raise ContractError("step must be positive")
@@ -481,7 +481,7 @@ def central_difference_errors(loss: Callable[[], Tensor], leaves: Sequence[Tenso
     with no_grad():
         for x, idx in zip(leaves, coords):
             grad = np.zeros(x.shape) if x.grad is None else x.grad
-            if grad.shape != x.shape:
+            if grad.shape != x.shape or not np.isfinite(grad).all():
                 errors.append(math.inf)
                 continue
             analytic, flat, worst = grad.reshape(-1), x.data.reshape(-1), 0.0

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import shutil
 import struct
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meant import cli
 from meant.cli import ABLATION_VARIANTS, _model_config, build_parser, main
 from meant.config import RunConfig
 from meant.errors import ConfigError
@@ -569,6 +571,12 @@ class TestGradcheckCommand:
         for pooling in ("mean_pool", "seq_proj"):
             for days in ("shared", "padded"):
                 assert f"model ({pooling}, {days} days) max rel err" in out
+
+    def test_nan_reading_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_op_checks", lambda rng: iter([("gelu", math.nan)]))
+        monkeypatch.setattr(cli, "_model_checks", lambda: iter([]))
+        assert main(["gradcheck"]) == 2
+        assert "op gelu          max rel err nan  FAIL" in capsys.readouterr().out
 
 
 class TestRenderGraphs:

@@ -24,6 +24,11 @@ SCALED = ("def bwd(g):\n", "def bwd(g):\n        g = g * (1 + 1e-4)\n")
 MUTANTS = {
     **{f"{op} gradient scaled by 1 + 1e-4": (op, *SCALED, line)
        for op, line in GRADCHECK_LINE.items()},
+    "gelu backward yields NaN": (
+        "gelu", "def bwd(g):\n", "def bwd(g):\n        g = g * np.nan\n", "gelu"),
+    "layer_norm backward yields inf": (
+        "layer_norm", "def bwd(g):\n", "def bwd(g):\n        g = g * np.inf\n",
+        "layer_norm"),
     "attention drops rowsum(dP P)": (
         "attention",
         '            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]\n',

@@ -183,6 +183,32 @@ class TestGradCheck:
         err = grad_check(lambda x: (x * x).sum() * 1e-6 + big, Tensor([1.0, 2.0]))
         assert err == 0.0
 
+    @staticmethod
+    def _square_with_gradient_times(factor):
+        def op(x):
+            def bwd(g):
+                x._accumulate(g * 2.0 * x.data * factor)
+            return Tensor._from_op(x.data * x.data, (x,), bwd)
+        return op
+
+    @pytest.mark.parametrize("offset, factor, flagged", [
+        (0.0, 1.1, True),
+        # at |f| ~ 1e3 the floor is ~3.6e-7, so of the 2e-6 gradient an
+        # error of 10% (2e-7) is hidden and one of 20% (4e-7) shows
+        (1e3, 1.1, False),
+        (1e3, 1.2, True),
+    ])
+    def test_an_offset_in_f_raises_the_floor(self, offset, factor, flagged):
+        square, c = self._square_with_gradient_times(factor), Tensor(offset)
+        err = grad_check(lambda x: square(x).sum() * 1e-6 + c, Tensor([1.0]))
+        assert (err >= 1e-6) == flagged
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_reads_inf(self, bad):
+        err = grad_check(lambda x: self._square_with_gradient_times(bad)(x).sum(),
+                         Tensor([1.0, 2.0]))
+        assert err == math.inf
+
     def test_gelu(self):
         x = Tensor(np.random.default_rng(1).normal(size=8))
         assert grad_check(lambda t: gelu(t).sum(), x) < 1e-6
