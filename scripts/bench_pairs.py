@@ -16,8 +16,13 @@ The runs are reduced into ``BENCH_<name>.json`` under the workload's name
 (other workloads already in the file are kept): for every metric of
 ``BENCHMARK.json``, each side's median and quartiles, the number of pairs
 the working tree won, and whether its median lies beyond the base's
-interquartile range on the better side. Every run's metrics, seed and
-order are kept too. The exit code is 1 if any run failed a check.
+interquartile range on the better side. A metric with a ``bound`` also
+gets the working tree's interquartile range as a fraction of the base's
+median, whether that spread is within the bound, and whether the working
+tree's median is worse than the base's by more than the bound: a change
+that fails either check cannot show that it did no harm. Every run's
+metrics, seed and order are kept too. The exit code is 1 if any run failed
+a check.
 """
 
 from __future__ import annotations
@@ -96,6 +101,13 @@ def reduce(pairs: list[dict], specs: list[dict]) -> dict:
             "median_change_pct": (100.0 * (c["median"] - b["median"]) / b["median"]
                                   if b["median"] else None),
         }
+        if "bound" in spec and b["median"]:
+            bound, scale = spec["bound"], abs(b["median"])
+            iqr = (c["q3"] - c["q1"]) / scale
+            worse = (c["median"] - b["median"]) / scale * (1 if lower else -1)
+            out[name].update(change_iqr_of_base_median=iqr,
+                             change_iqr_within_bound=iqr <= bound,
+                             change_median_worse_beyond_bound=worse > bound)
     return out
 
 

@@ -452,7 +452,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ContractError, DatasetFormatError, OSError) as exc:
+    except (ConfigError, ContractError, DatasetFormatError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

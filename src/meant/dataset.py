@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,12 +114,12 @@ def _group_tweets(tweets, price_dates: dict[str, set], fold_nontrading: bool):
             continue
         date = rec.date
         if date not in dates:
-            if not fold_nontrading:
+            # fold onto the next trading day, if there is one
+            later = sorted_dates[rec.ticker]
+            i = bisect_right(later, date)
+            if not fold_nontrading or i == len(later):
                 continue
-            later = [d for d in sorted_dates[rec.ticker] if d > date]
-            if not later:
-                continue
-            date = later[0]
+            date = later[i]
             rec = TweetRecord(rec.ticker, date, rec.text)
         by_day.setdefault((rec.ticker, date), []).append(rec)
     return by_day
@@ -208,62 +209,53 @@ def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
     return windows, stats
 
 
+def split_windows(windows: list[LagWindow], split: dict):
+    """Train/val/test by a manifest's split record, cut from the windows in
+    (target_date, ticker) order so that no target date is in two parts.
+    ``{"fractions": [f0, f1, f2]}`` (finite, positive, summing to 1) cuts
+    before window ``n * f0`` and ``max(1, n * f1)`` windows later, each cut
+    moved back to the first window of its date. ``{"dates": [train_end,
+    val_end]}`` (ISO dates, train_end < val_end) ends train and val on
+    those dates. Any other record, or an empty part, is a ``ContractError``."""
+    ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
+    dates = [w.target_date for w in ordered]
+    n, cuts = len(dates), None
+    kind = set(split) if isinstance(split, dict) else None
+    fr = split["fractions"] if kind == {"fractions"} else None
+    ends = split["dates"] if kind == {"dates"} else None
+    if (isinstance(fr, (list, tuple)) and len(fr) == 3
+            and all(type(f) in (int, float) and math.isfinite(f) and f > 0
+                    for f in fr) and abs(sum(fr) - 1.0) <= 1e-9):
+        def first_of_date(i):
+            return i if not 0 < i < n else bisect_left(dates, dates[i])
+
+        i1 = first_of_date(int(n * fr[0]))
+        cuts = i1, first_of_date(i1 + max(1, int(n * fr[1])))
+    elif (isinstance(ends, list) and len(ends) == 2
+          and all(type(d) is str for d in ends)):
+        try:
+            train_end, val_end = map(dt.date.fromisoformat, ends)
+        except ValueError:
+            pass
+        else:
+            if train_end < val_end:
+                cuts = bisect_right(dates, train_end), bisect_right(dates, val_end)
+    if cuts is None:
+        raise ContractError(f"split record must be {{'fractions': [3 finite "
+                            f"positive numbers summing to 1]}} or {{'dates': "
+                            f"[train_end, val_end]}}, ISO dates in order; "
+                            f"got {split!r}")
+    parts = ordered[:cuts[0]], ordered[cuts[0]:cuts[1]], ordered[cuts[1]:]
+    if not all(parts):
+        raise ContractError(f"cannot populate all splits: sizes "
+                            f"{'/'.join(str(len(p)) for p in parts)}")
+    return parts
+
+
 def chronological_split(windows: list[LagWindow],
                         fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)):
-    """Date-contiguous train/val/test slices with no shared target dates."""
-    if (not all(np.isfinite(f) and f > 0 for f in fractions)
-            or abs(sum(fractions) - 1.0) > 1e-9):
-        raise ContractError(
-            f"fractions must be finite, positive and sum to 1: {fractions}")
-    ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
-    n = len(ordered)
-
-    def cut(idx: int) -> int:
-        # move every window sharing the boundary date into the later split
-        if idx <= 0 or idx >= n:
-            return idx
-        date = ordered[idx].target_date
-        while idx > 0 and ordered[idx - 1].target_date == date:
-            idx -= 1
-        return idx
-
-    i1 = cut(int(n * fractions[0]))
-    i2 = cut(i1 + int(n * fractions[1]) if int(n * fractions[1]) else i1 + 1)
-    i2 = max(i2, i1)
-    train, val, test = ordered[:i1], ordered[i1:i2], ordered[i2:]
-    if not train or not val or not test:
-        raise ContractError(
-            f"cannot populate all splits: sizes {len(train)}/{len(val)}/{len(test)}")
-    return train, val, test
-
-
-def split_by_dates(windows: list[LagWindow], train_end: dt.date,
-                   val_end: dt.date):
-    """Date-bounded split: train runs through ``train_end`` inclusive, val
-    through ``val_end``, test takes the rest."""
-    if train_end >= val_end:
-        raise ContractError(
-            f"train end {train_end} must precede val end {val_end}")
-    ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
-    train = [w for w in ordered if w.target_date <= train_end]
-    val = [w for w in ordered if train_end < w.target_date <= val_end]
-    test = [w for w in ordered if w.target_date > val_end]
-    if not train or not val or not test:
-        raise ContractError(
-            f"cannot populate all splits: sizes {len(train)}/{len(val)}/{len(test)}")
-    return train, val, test
-
-
-def split_windows(windows: list[LagWindow], split: dict):
-    """Train/val/test by a manifest's split record: ``{"fractions": [f, f, f]}``
-    or ``{"dates": [train_end, val_end]}`` with ISO dates."""
-    kind = set(split) if isinstance(split, dict) else None
-    if kind == {"fractions"}:
-        return chronological_split(windows, tuple(split["fractions"]))
-    if kind == {"dates"}:
-        train_end, val_end = (dt.date.fromisoformat(d) for d in split["dates"])
-        return split_by_dates(windows, train_end, val_end)
-    raise ContractError(f"unknown split record {split!r}")
+    """``split_windows`` by train/val/test fractions."""
+    return split_windows(windows, {"fractions": fractions})
 
 
 # -- persistence -------------------------------------------------------

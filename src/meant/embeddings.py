@@ -54,16 +54,13 @@ def patch_embed(images: np.ndarray, proj: Callable[[Tensor], Tensor],
 # -- rotary family -----------------------------------------------------
 
 
-def _pair_freqs(d: int, base: float = ROTARY_BASE) -> np.ndarray:
-    return base ** (-2.0 * np.arange(d // 2) / d)
-
-
 def rotary_tables(positions, d: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of the rotary angles, (len(positions), d)."""
     if d % 2:
         raise DimensionError(f"rotary needs an even head dim, got {d}")
     pos = np.asarray(positions, dtype=np.float64)[:, None]
-    theta = np.repeat(pos * _pair_freqs(d)[None, :], 2, axis=-1)
+    freqs = ROTARY_BASE ** (-2.0 * np.arange(d // 2) / d)
+    theta = np.repeat(pos * freqs[None, :], 2, axis=-1)
     return np.cos(theta), np.sin(theta)
 
 
@@ -95,12 +92,6 @@ def apply_axial_rotary_2d(q: Tensor, k: Tensor, rows, cols) -> tuple[Tensor, Ten
     d = q.shape[-1]
     if d % 4:
         raise DimensionError(f"axial rotary needs d divisible by 4, got {d}")
-    rows = np.asarray(rows, dtype=np.float64)
-    cols = np.asarray(cols, dtype=np.float64)
-    freqs = _pair_freqs(d // 2)
-    theta = np.empty((rows.size, d // 2))
-    theta[:, :d // 4] = rows[:, None] * freqs[None, :]
-    theta[:, d // 4:] = cols[:, None] * freqs[None, :]
-    theta = np.repeat(theta, 2, axis=-1)
-    cos, sin = np.cos(theta), np.sin(theta)
+    (rc, rs), (cc, cs) = rotary_tables(rows, d // 2), rotary_tables(cols, d // 2)
+    cos, sin = np.concatenate([rc, cc], -1), np.concatenate([rs, cs], -1)
     return rotate_pairs(q, cos, sin), rotate_pairs(k, cos, sin)

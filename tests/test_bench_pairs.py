@@ -67,3 +67,28 @@ def test_metric_with_fewer_than_two_pairs_is_skipped():
              pair({"step_s": 1.0}, {"step_s": 0.6})]
     out = bench_pairs.reduce(pairs, SPECS)
     assert set(out) == {"step_s"}
+
+
+@pytest.mark.parametrize("better, change, iqr, spread_ok, worse", [
+    # base median 2.0, bound 0.25; with three runs the IQR is half the range
+    ("lower", [1.9, 2.0, 2.1], 0.05, True, False),
+    ("lower", [2.0, 2.6, 3.2], 0.3, False, True),    # slower by 30%
+    ("lower", [1.0, 1.5, 2.0], 0.25, True, False),   # faster, spread at the bound
+    ("higher", [1.4, 1.45, 1.5], 0.025, True, True), # lower rate by 27.5%
+    ("higher", [2.0, 2.5, 3.2], 0.3, False, False),  # higher rate, wide
+])
+def test_bound_fields(better, change, iqr, spread_ok, worse):
+    base = [1.9, 2.0, 2.1]
+    pairs = [pair({"m": b}, {"m": c}) for b, c in zip(base, change)]
+    spec = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    row = bench_pairs.reduce(pairs, [spec])["m"]
+    assert row["change_iqr_of_base_median"] == pytest.approx(iqr)
+    assert row["change_iqr_within_bound"] is spread_ok
+    assert row["change_median_worse_beyond_bound"] is worse
+
+
+def test_no_bound_fields_without_a_bound():
+    pairs = [pair({"m": b}, {"m": b}) for b in (1.0, 2.0)]
+    row = bench_pairs.reduce(pairs, [{"name": "m", "unit": "s",
+                                      "better": "lower"}])["m"]
+    assert not any("bound" in key for key in row)

@@ -313,6 +313,28 @@ class TestTrain:
         line = 1 if case == "every_chart_64px" else 2
         assert f"error: windows.jsonl:{line}: bad row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("victim", ["prices", "tweets", "config",
+                                        "manifest.json", "windows.jsonl"])
+    def test_undecodable_input_exits_one(self, workspace, tmp_path, capsys,
+                                         victim):
+        # a byte that is not UTF-8 in any file the CLI reads as text
+        inputs = {k: tmp_path / workspace[k].name
+                  for k in ("prices", "tweets", "config")}
+        for key, path in inputs.items():
+            shutil.copy(workspace[key], path)
+        data = tmp_path / "ds"
+        shutil.copytree(workspace["data"], data)
+        path = inputs.get(victim, data / victim)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        if victim in ("prices", "tweets"):
+            argv = build_args(inputs["prices"], inputs["tweets"], tmp_path / "new")
+        else:
+            argv = ["train", "--config", str(inputs["config"]),
+                    "--data", str(data), "--out", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists() and not (tmp_path / "run").exists()
+
     def test_zero_modality_config_exits_one(self, workspace, tmp_path):
         bad = tmp_path / "nomod.json"
         bad.write_text(json.dumps({"model": {
@@ -516,6 +538,26 @@ class TestRecordedSplit:
         assert (ev / "metrics.json").read_bytes() == want
         # both splits hold out the last two of the seven windows
         assert sum(map(sum, json.loads(want)["confusion"])) == 2
+
+
+    @pytest.mark.parametrize("split", [
+        {"fractions": ["a", "b", "c"]}, {"fractions": [0.9, 0.1]},
+        {"fractions": [True, 1e-10, 1e-10]}, {"dates": [1, 2]},
+        {"dates": ["x", "y"]}],
+        ids=["non_numeric_fractions", "two_fractions", "bool_fraction",
+             "non_string_dates", "non_iso_dates"])
+    def test_malformed_split_record_exits_one(self, workspace, tmp_path,
+                                              capsys, split):
+        data = tmp_path / "ds"
+        shutil.copytree(workspace["data"], data)
+        path = data / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "split": split}))
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--data", str(data), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "error: split record" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestAblate:

@@ -1,13 +1,16 @@
 import datetime as dt
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meant.dataset import (LagWindow, TweetRecord, build_lag_windows,
                            chronological_split, concat_day_tweets,
-                           load_dataset, save_dataset, split_by_dates,
-                           split_windows, stocknet_label)
+                           load_dataset, save_dataset, split_windows,
+                           stocknet_label)
 from meant.errors import ContractError, DatasetFormatError
 
 from meant.indicators import (CrossSignal, classify_crossover, compute_macd,
@@ -130,21 +133,38 @@ class TestBuild:
                                                  small_graph_spec,
                                                  sine_dataset):
         windows, _, tok = sine_dataset
+        ticker, dates = sine_prices.ticker, sine_prices.dates
         # Saturday just before the first window's lag span: folding moves
         # its tweet onto the following Monday, a lag day of that window
         saturday = windows[0].target_date - dt.timedelta(days=3)
         assert saturday.weekday() == 5
-        assert saturday not in sine_prices.dates
-        extra = make_tweets(sine_prices) + [
-            TweetRecord(sine_prices.ticker, saturday, "weekend chatter")]
-        dropped, _ = build_lag_windows(
-            {sine_prices.ticker: sine_prices}, extra, lag=5,
-            tokenizer=tok, graph=small_graph_spec)
-        assert dropped == windows
-        folded, _ = build_lag_windows(
-            {sine_prices.ticker: sine_prices}, extra, lag=5,
-            tokenizer=tok, graph=small_graph_spec, fold_nontrading=True)
-        assert folded != windows
+        assert saturday not in dates
+        # a mid-series Sunday whose Monday is a lag day of the middle window,
+        # and a day after the last trading day, which has no next one
+        mid = len(windows) // 2
+        t = dates.index(windows[mid].target_date)
+        monday = next(d for d in dates[t - 5:t] if d.weekday() == 0)
+        sunday = monday - dt.timedelta(days=1)
+        after_end = dates[-1] + dt.timedelta(days=1)
+
+        def build(extra, fold=False):
+            return build_lag_windows(
+                {ticker: sine_prices}, make_tweets(sine_prices) + extra,
+                lag=5, tokenizer=tok, graph=small_graph_spec,
+                fold_nontrading=fold)[0]
+
+        extra = [TweetRecord(ticker, saturday, "weekend chatter"),
+                 TweetRecord(ticker, sunday, "sunday chatter"),
+                 TweetRecord(ticker, after_end, "after the close")]
+        assert build(extra) == windows
+        folded = build(extra, fold=True)
+        assert folded[0] != windows[0] and folded[mid] != windows[mid]
+        # folding re-dates a tweet to the next trading day, and drops one
+        # that has none
+        assert folded == build([
+            TweetRecord(ticker, saturday + dt.timedelta(days=2),
+                        "weekend chatter"),
+            TweetRecord(ticker, monday, "sunday chatter")])
 
     def test_uncovered_ticker_skipped(self, sine_prices, small_graph_spec,
                                       sine_dataset):
@@ -231,7 +251,8 @@ class TestSplit:
         windows, _, _ = sine_dataset
         dates = sorted(w.target_date for w in windows)
         train_end, val_end = dates[len(dates) // 2], dates[-2]
-        train, val, test = split_by_dates(windows, train_end, val_end)
+        train, val, test = split_windows(
+            windows, {"dates": [train_end.isoformat(), val_end.isoformat()]})
         assert len(train) + len(val) + len(test) == len(windows)
         assert max(w.target_date for w in train) <= train_end
         assert all(train_end < w.target_date <= val_end for w in val)
@@ -239,11 +260,86 @@ class TestSplit:
 
     def test_date_bounds_validation(self, sine_dataset):
         windows, _, _ = sine_dataset
-        d = windows[0].target_date
+        d = windows[0].target_date.isoformat()
         with pytest.raises(ContractError):
-            split_by_dates(windows, d, d)
+            split_windows(windows, {"dates": [d, d]})
         with pytest.raises(ContractError):
-            split_by_dates(windows, dt.date(1990, 1, 1), dt.date(1990, 1, 2))
+            split_windows(windows, {"dates": ["1990-01-01", "1990-01-02"]})
+
+    @pytest.mark.parametrize("split", [
+        None, [0.8, 0.1, 0.1], {}, {"fractions": [0.8, 0.1, 0.1], "dates": []},
+        {"fractions": ["a", "b", "c"]}, {"fractions": [0.9, 0.1]},
+        {"fractions": [0.5, 0.25, 0.125, 0.125]}, {"fractions": 1.0},
+        {"fractions": [True, 1e-10, 1e-10]}, {"fractions": [0.8, 0.1, None]},
+        {"fractions": [0.8, -0.1, 0.3]}, {"fractions": [0.8, 0.1, float("inf")]},
+        {"dates": [1, 2]}, {"dates": ["x", "y"]}, {"dates": ["2022-09-06"]},
+        {"dates": "2022-09-06,2022-11-29"}, {"dates": ["2022-11-29", "2022-09-06"]},
+    ])
+    def test_malformed_record_refused(self, sine_dataset, split):
+        windows, _, _ = sine_dataset
+        with pytest.raises(ContractError, match="split record"):
+            split_windows(windows, split)
+
+    def test_parts_pinned(self, sine_dataset, small_graph_spec):
+        # (train, val, test) sizes as the walk-back cut and the date filter
+        # gave them: on one ticker, on two tickers with distinct dates and
+        # on two tickers whose windows share every date
+        def two_tickers(**bbb):
+            prices = {s.ticker: s for s in (make_sine_prices("AAA", days=160),
+                                            make_sine_prices("BBB", days=160,
+                                                             **bbb))}
+            tweets = [t for s in prices.values() for t in make_tweets(s)]
+            tok = build_vocab((t.text for t in tweets), max_size=64, max_len=8)
+            return build_lag_windows(prices, tweets, lag=3, tokenizer=tok,
+                                     graph=small_graph_spec)[0]
+
+        sets = [(sine_dataset[0], (11, 1, 2), (8, 3, 3), (8, 3, 3)),
+                (two_tickers(period=30.0), (12, 1, 3), (9, 4, 3), (9, 4, 3)),
+                (two_tickers(base=90.0), None, (8, 2, 4), (8, 4, 2))]
+        for windows, default, other, by_dates in sets:
+            ordered = sorted(w.target_date for w in windows)
+            ends = [ordered[len(ordered) // 2].isoformat(),
+                    ordered[-4].isoformat()]
+            for record, sizes in (({"fractions": [0.8, 0.1, 0.1]}, default),
+                                  ({"fractions": [0.6, 0.25, 0.15]}, other),
+                                  ({"dates": ends}, by_dates)):
+                if sizes is None:
+                    with pytest.raises(ContractError, match="sizes 10/0/4"):
+                        split_windows(windows, record)
+                else:
+                    assert tuple(map(len, split_windows(windows, record))) == sizes
+        # a val fraction of less than one window still takes one window
+        assert tuple(map(len, split_windows(
+            sine_dataset[0], {"fractions": [0.9, 0.05, 0.05]}))) == (12, 1, 1)
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.sampled_from("ABC")),
+                    min_size=1, max_size=30, unique=True),
+           st.one_of(
+               st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(
+                   lambda f: f[0] + f[1] < 10).map(
+                   lambda f: {"fractions": [f[0] / 10, f[1] / 10,
+                                            1 - (f[0] + f[1]) / 10]}),
+               st.tuples(st.integers(0, 9), st.integers(1, 9)).map(
+                   lambda e: {"dates": [dt.date(2022, 1, 3 + e[0]).isoformat(),
+                                        dt.date(2022, 1, 4 + e[0] + e[1])
+                                        .isoformat()]})))
+    @settings(max_examples=300, deadline=None)
+    def test_parts_partition_tied_dates(self, keys, split):
+        windows = [SimpleNamespace(target_date=dt.date(2022, 1, 3 + day),
+                                   ticker=ticker) for day, ticker in keys]
+        try:
+            parts = split_windows(windows, split)
+        except ContractError as exc:
+            assert "cannot populate" in str(exc)
+            return
+        assert sorted(map(id, windows)) == sorted(id(w) for p in parts for w in p)
+        for early, late in zip(parts, parts[1:]):
+            assert max(w.target_date for w in early) < min(
+                w.target_date for w in late)
+        if "dates" in split:
+            train_end, val_end = map(dt.date.fromisoformat, split["dates"])
+            assert all(w.target_date <= train_end for w in parts[0])
+            assert all(w.target_date > val_end for w in parts[2])
 
 
 class TestTruncateLag:
@@ -284,9 +380,14 @@ class TestPersistence:
         windows, _, tok = sine_dataset
         for name in ("a", "b"):
             save_dataset(windows, tmp_path / name, tokenizer=tok)
-        for rel in ("manifest.json", "windows.jsonl"):
-            assert ((tmp_path / "a" / rel).read_bytes()
-                    == (tmp_path / "b" / rel).read_bytes())
+        def files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()}
+
+        a = files(tmp_path / "a")
+        assert a == files(tmp_path / "b")
+        assert {"manifest.json", "windows.jsonl"} <= set(map(str, a))
+        assert sum(p.parent.name == "graphs" for p in a) == 5 * len(windows)
 
     def test_corrupt_graph_detected(self, tmp_path, sine_dataset):
         windows, _, tok = sine_dataset

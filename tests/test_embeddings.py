@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meant.embeddings import (apply_axial_rotary_2d, apply_rotary, apply_xpos,
-                              extract_patches, patch_embed, token_embed,
-                              xpos_scales)
+from meant.embeddings import (ROTARY_BASE, apply_axial_rotary_2d,
+                              apply_rotary, apply_xpos, extract_patches,
+                              patch_embed, token_embed, xpos_scales)
 from meant.encoders import Linear, VisionPipeline
 from meant.errors import DimensionError
 from meant.fusion import MeantModel, ModelConfig
-from meant.tensor import Tensor, grad_check, matmul
+from meant.tensor import Tensor, grad_check, matmul, rotate_pairs
 
 
 def rand(shape, seed=0):
@@ -205,6 +205,22 @@ class TestAxialRotary:
             return (qr.data @ kr.data.T).item()
 
         assert abs(score(2, 5, 1, 3) - score(7, 6, 6, 4)) < 1e-9
+
+    def test_tables_pinned_on_patch_grid(self):
+        # the angle tables as first written: a (n, d/2) theta with the row
+        # angles in its first half and the column angles in its second,
+        # each lane repeated for its pair; d = 16 on a 14x14 patch grid
+        d, side = 16, 14
+        rows = np.repeat(np.arange(side), side).astype(np.float64)
+        cols = np.tile(np.arange(side), side).astype(np.float64)
+        freqs = ROTARY_BASE ** (-2.0 * np.arange(d // 4) / (d // 2))
+        theta = np.repeat(np.concatenate([rows[:, None] * freqs[None, :],
+                                          cols[:, None] * freqs[None, :]], 1),
+                          2, axis=-1)
+        q = Tensor(rand((2, side * side, d)))
+        qr, _ = apply_axial_rotary_2d(q, q, rows, cols)
+        want = rotate_pairs(q, np.cos(theta), np.sin(theta))
+        assert qr.data.tobytes() == want.data.tobytes()
 
     def test_dim_not_multiple_of_four(self):
         q = Tensor(rand((2, 6)))
