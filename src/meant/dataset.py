@@ -209,16 +209,14 @@ def build_lag_windows(prices: dict[str, PriceSeries], tweets: list[TweetRecord],
     return windows, stats
 
 
-def split_windows(windows: list[LagWindow], split: dict):
-    """Train/val/test by a manifest's split record, cut from the windows in
-    (target_date, ticker) order so that no target date is in two parts.
-    ``{"fractions": [f0, f1, f2]}`` (finite, positive, summing to 1) cuts
-    before window ``n * f0`` and ``max(1, n * f1)`` windows later, each cut
-    moved back to the first window of its date. ``{"dates": [train_end,
-    val_end]}`` (ISO dates, train_end < val_end) ends train and val on
-    those dates. Any other record, or an empty part, is a ``ContractError``."""
-    ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
-    dates = [w.target_date for w in ordered]
+def split_cuts(dates: list[dt.date], split: dict) -> tuple[int, int]:
+    """Where a manifest's split record cuts sorted target ``dates``: the
+    indices at which val and test start. ``{"fractions": [f0, f1, f2]}``
+    (finite, positive, summing to 1) cuts before index ``n * f0`` and
+    ``max(1, n * f1)`` indices later, each cut moved back to the first index
+    of its date. ``{"dates": [train_end, val_end]}`` (ISO dates, train_end <
+    val_end) ends train and val on those dates. Any other record is a
+    ``ContractError``, also when ``dates`` is empty."""
     n, cuts = len(dates), None
     kind = set(split) if isinstance(split, dict) else None
     fr = split["fractions"] if kind == {"fractions"} else None
@@ -245,7 +243,16 @@ def split_windows(windows: list[LagWindow], split: dict):
                             f"positive numbers summing to 1]}} or {{'dates': "
                             f"[train_end, val_end]}}, ISO dates in order; "
                             f"got {split!r}")
-    parts = ordered[:cuts[0]], ordered[cuts[0]:cuts[1]], ordered[cuts[1]:]
+    return cuts
+
+
+def split_windows(windows: list[LagWindow], split: dict):
+    """Train/val/test by a manifest's split record (``split_cuts``), cut
+    from the windows in (target_date, ticker) order so that no target date
+    is in two parts. An empty part is a ``ContractError``."""
+    ordered = sorted(windows, key=lambda w: (w.target_date, w.ticker))
+    i1, i2 = split_cuts([w.target_date for w in ordered], split)
+    parts = ordered[:i1], ordered[i1:i2], ordered[i2:]
     if not all(parts):
         raise ContractError(f"cannot populate all splits: sizes "
                             f"{'/'.join(str(len(p)) for p in parts)}")
@@ -286,7 +293,9 @@ def save_dataset(windows: list[LagWindow], out_dir, tokenizer: TokenizerSpec,
     """Write manifest.json, windows.jsonl and per-day graph blobs. The
     manifest records ``split`` and the ``tokenizer`` the windows' ids come
     from; the MACD normalization is fitted on the split's training part,
-    which must not be empty unless ``windows`` is."""
+    which must not be empty unless ``windows`` is. A bad ``split`` is
+    refused before any file is written."""
+    split_cuts([], split)    # checks the record even when there is no window
     train = split_windows(windows, split)[0] if windows else []
     out = Path(out_dir)
     (out / "graphs").mkdir(parents=True, exist_ok=True)
@@ -373,13 +382,16 @@ def load_dataset(in_dir) -> tuple[list[LagWindow], dict]:
     src = Path(in_dir)
     try:
         manifest = json.loads((src / "manifest.json").read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatasetFormatError(f"cannot read manifest: {exc}") from exc
+    except (OSError, ValueError) as exc:       # bad JSON or not UTF-8
+        raise DatasetFormatError(f"cannot read {src / 'manifest.json'}: {exc}") from exc
     _check_manifest(manifest)
     lag, seq_len = manifest["lag"], manifest["seq_len"]
     shape = tuple(manifest["image_shape"] or ())
     windows = []
-    text = (src / "windows.jsonl").read_text("utf-8")
+    try:
+        text = (src / "windows.jsonl").read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{src / 'windows.jsonl'}: {exc}") from exc
     for lineno, line in enumerate(filter(None, text.split("\n")), start=1):
         try:
             row = json.loads(line)

@@ -55,12 +55,9 @@ def patch_embed(images: np.ndarray, proj: Callable[[Tensor], Tensor],
 
 
 def rotary_tables(positions, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the rotary angles, (len(positions), d)."""
-    if d % 2:
-        raise DimensionError(f"rotary needs an even head dim, got {d}")
+    """cos and sin of the rotary angles, one per pair: (len(positions), d // 2)."""
     pos = np.asarray(positions, dtype=np.float64)[:, None]
-    freqs = ROTARY_BASE ** (-2.0 * np.arange(d // 2) / d)
-    theta = np.repeat(pos * freqs[None, :], 2, axis=-1)
+    theta = pos * ROTARY_BASE ** (-2.0 * np.arange(d // 2) / d)
     return np.cos(theta), np.sin(theta)
 
 
@@ -70,10 +67,11 @@ def apply_rotary(q: Tensor, k: Tensor, positions) -> tuple[Tensor, Tensor]:
     return rotate_pairs(q, cos, sin), rotate_pairs(k, cos, sin)
 
 
-def xpos_scales(positions, d: int, gamma: float = XPOS_GAMMA) -> np.ndarray:
-    zeta = (np.arange(d // 2) / (d / 2) + gamma) / (1.0 + gamma)
+def xpos_scales(positions, d: int) -> np.ndarray:
+    """The xPos decay of each pair, (len(positions), d // 2)."""
+    zeta = (np.arange(d // 2) / (d / 2) + XPOS_GAMMA) / (1.0 + XPOS_GAMMA)
     pos = np.asarray(positions, dtype=np.float64)[:, None] / XPOS_SCALE_BASE
-    return np.repeat(zeta[None, :] ** pos, 2, axis=-1)
+    return zeta ** pos
 
 
 def apply_xpos(q: Tensor, k: Tensor, positions) -> tuple[Tensor, Tensor]:

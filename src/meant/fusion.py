@@ -303,7 +303,3 @@ class MeantModel(Module):
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params().values())
-
-    def zero_grad(self) -> None:
-        for p in self.params().values():
-            p.zero_grad()

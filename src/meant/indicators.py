@@ -115,19 +115,23 @@ def macd_vector(ind: IndicatorSeries, day: int) -> np.ndarray:
 def load_prices_csv(path) -> dict[str, PriceSeries]:
     """Read a ``ticker,date,close`` CSV into per-ticker series."""
     rows: dict[str, list[tuple[dt.date, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"ticker", "date", "close"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ContractError(
-                f"{path}: expected header with columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                date = dt.date.fromisoformat(row["date"])
-                close = float(row["close"])
-            except (ValueError, TypeError) as exc:
-                raise ContractError(f"{path}:{lineno}: bad row: {exc}") from exc
-            rows.setdefault(row["ticker"], []).append((date, close))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
+    reader = csv.DictReader(lines)
+    required = {"ticker", "date", "close"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ContractError(
+            f"{path}: expected header with columns {sorted(required)}")
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            date = dt.date.fromisoformat(row["date"])
+            close = float(row["close"])
+        except (ValueError, TypeError) as exc:
+            raise ContractError(f"{path}:{lineno}: bad row: {exc}") from exc
+        rows.setdefault(row["ticker"], []).append((date, close))
     out = {}
     for ticker, entries in rows.items():
         entries.sort(key=lambda e: e[0])

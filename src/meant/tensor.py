@@ -409,33 +409,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     return Tensor._from_op(out_data, (q, k, v), bwd)
 
 
-def _swap_pairs(a: np.ndarray) -> np.ndarray:
-    """(a1, a2) -> (a2, a1) for each adjacent pair of the last axis."""
-    return a.reshape(*a.shape[:-1], -1, 2)[..., ::-1].reshape(a.shape)
+def _rotate(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Each adjacent pair (a1, a2) of the last axis turned to
+    (a1 cos - a2 sin, a2 cos + a1 sin), into a fresh C-order array."""
+    a1, a2 = a[..., 0::2], a[..., 1::2]
+    out = np.empty(a.shape)
+    out[..., 0::2] = a1 * cos - a2 * sin
+    out[..., 1::2] = a2 * cos + a1 * sin
+    return out
 
 
 def rotate_pairs(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate each adjacent pair (x1, x2) of the last axis to
     (x1 cos - x2 sin, x2 cos + x1 sin), as one node.
 
-    ``cos`` and ``sin`` hold one entry per element (repeated within a pair)
-    and broadcast against x; scaling both scales the rotated pair (xPos).
+    ``cos`` and ``sin`` hold one angle per pair (half of x's last axis) and
+    broadcast against it; scaling both scales the rotated pair (xPos). The
+    backward is the transposed rotation: the same turn with sin negated.
     """
     if x.shape[-1] % 2:
         raise DimensionError(f"pair rotation needs an even last axis, got {x.shape}")
-    signed_sin = np.array(sin, dtype=np.float64)
-    signed_sin[..., 0::2] *= -1.0
-    # fresh buffer first: with a last axis of 2, _swap_pairs returns a view
-    out_data = x.data * cos
-    out_data += _swap_pairs(x.data) * signed_sin
 
     def bwd(g):
         if x.requires_grad:
-            dx = _swap_pairs(g * signed_sin)
-            dx += g * cos
-            x._accumulate(dx)
+            x._accumulate(_rotate(g, cos, -sin))
 
-    return Tensor._from_op(out_data, (x,), bwd)
+    return Tensor._from_op(_rotate(x.data, cos, sin), (x,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import padded_days, target_weights, toy_batch, toy_model
 from meant.checks import model_grad_check
-from meant.cli import _op_checks, _padded_day_ids
+from meant.cli import MODEL_GATE, OP_GATE, _op_checks, _padded_day_ids
 from meant.dataset import build_lag_windows, load_dataset, save_dataset, stocknet_label
 from meant.encoders import VisionPipeline, visible_tokens
 from meant.fusion import (ModelConfig, QueryTargetAttention,
@@ -219,7 +219,7 @@ def test_criterion_6_gradient_suite():
     elapsed = time.monotonic() - start
     _verdict(6, f"gradient suite (ops {worst_op:.1e}, model "
              f"{worst_model:.1e}, {elapsed:.0f}s)",
-             worst_op < 1e-6 and worst_model < 1e-4 and elapsed < 120.0)
+             worst_op < OP_GATE and worst_model < MODEL_GATE and elapsed < 120.0)
 
 
 def test_criterion_7_temporal_attention_properties():

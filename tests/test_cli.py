@@ -123,6 +123,21 @@ class TestBuildDataset:
             assert rc == 1, split
             assert not out.exists(), split
 
+    @pytest.mark.parametrize("split", ["0.8,0.1,nan", "0.8,0.1,inf",
+                                       "0.8,-0.1,0.3"])
+    def test_bad_split_refused_without_windows(self, tmp_path, capsys, split):
+        # two price rows and one tweet make no window, so no part of the
+        # build would reach the split; the record is refused all the same
+        prices, tweets = tmp_path / "prices.csv", tmp_path / "tweets.jsonl"
+        prices.write_text("ticker,date,close\nSINE,2022-01-03,10\n"
+                          "SINE,2022-01-04,11\n")
+        tweets.write_text('{"ticker": "SINE", "date": "2022-01-03", '
+                          '"text": "up"}\n')
+        out = tmp_path / "ds"
+        assert main(build_args(prices, tweets, out) + ["--split", split]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("row", [
         "[1, 2]",
         '{"ticker": "SINE", "date": 5, "text": "up"}',
@@ -332,7 +347,8 @@ class TestTrain:
             argv = ["train", "--config", str(inputs["config"]),
                     "--data", str(data), "--out", str(tmp_path / "run")]
         assert main(argv) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and path.name in err
         assert not (tmp_path / "new").exists() and not (tmp_path / "run").exists()
 
     def test_zero_modality_config_exits_one(self, workspace, tmp_path):

@@ -435,6 +435,14 @@ class TestPersistence:
         assert back == [] and manifest["count"] == 0
         assert manifest["lag"] is None and manifest["seq_len"] == tok.max_len
 
+    def test_bad_split_refused_before_any_file(self, tmp_path, sine_dataset):
+        _, _, tok = sine_dataset
+        for windows in ([], sine_dataset[0]):
+            with pytest.raises(ContractError, match="split record"):
+                save_dataset(windows, tmp_path / "ds", tokenizer=tok,
+                             split={"fractions": [0.8, 0.1, float("nan")]})
+            assert not (tmp_path / "ds").exists()
+
     def test_normalization_from_training_head(self, tmp_path, sine_dataset):
         # fitted on exactly the training part of the recorded split
         windows, _, tok = sine_dataset

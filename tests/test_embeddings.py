@@ -147,8 +147,7 @@ class TestXpos:
         # positions are divided by the scale base 512 (Sun et al. 2022)
         scales = xpos_scales(np.array([3.0]), d)
         zeta = (np.arange(d // 2) / (d / 2) + gamma) / (1.0 + gamma)
-        assert np.allclose(scales[0], np.repeat(zeta ** (3.0 / 512), 2),
-                           atol=1e-15)
+        assert np.allclose(scales[0], zeta ** (3.0 / 512), atol=1e-15)
 
     def test_q_and_k_scales_cancel(self):
         # q is scaled by zeta^m and k by zeta^-n, so equal positions cancel
@@ -207,16 +206,15 @@ class TestAxialRotary:
         assert abs(score(2, 5, 1, 3) - score(7, 6, 6, 4)) < 1e-9
 
     def test_tables_pinned_on_patch_grid(self):
-        # the angle tables as first written: a (n, d/2) theta with the row
-        # angles in its first half and the column angles in its second,
-        # each lane repeated for its pair; d = 16 on a 14x14 patch grid
+        # the angle tables as first written: a (n, d/2) theta, one angle per
+        # pair, with the row angles in its first half and the column angles
+        # in its second; d = 16 on a 14x14 patch grid
         d, side = 16, 14
         rows = np.repeat(np.arange(side), side).astype(np.float64)
         cols = np.tile(np.arange(side), side).astype(np.float64)
         freqs = ROTARY_BASE ** (-2.0 * np.arange(d // 4) / (d // 2))
-        theta = np.repeat(np.concatenate([rows[:, None] * freqs[None, :],
-                                          cols[:, None] * freqs[None, :]], 1),
-                          2, axis=-1)
+        theta = np.concatenate([rows[:, None] * freqs[None, :],
+                                cols[:, None] * freqs[None, :]], 1)
         q = Tensor(rand((2, side * side, d)))
         qr, _ = apply_axial_rotary_2d(q, q, rows, cols)
         want = rotate_pairs(q, np.cos(theta), np.sin(theta))

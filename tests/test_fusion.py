@@ -281,7 +281,6 @@ class TestMeantModel:
         assert len(params) == len(set(params))
         batch = toy_batch(model.config)
         from meant.training import cross_entropy
-        model.zero_grad()
         loss = cross_entropy(model(batch["ids"], batch["macd"],
                                    batch["images"]), batch["labels"])
         loss.backward()
@@ -348,7 +347,8 @@ def _per_window_forward(model: MeantModel, ids, macd, images) -> Tensor:
 
 
 def _logits_and_grads(model, forward, batch):
-    model.zero_grad()
+    for p in model.params().values():
+        p.zero_grad()
     logits = forward(batch["ids"], batch["macd"], batch["images"])
     cross_entropy(logits, batch["labels"]).backward()
     return logits.data, {k: p.grad for k, p in model.params().items()}

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import GRADCHECK_LINE
 from meant import tensor, training
-from meant.cli import _model_checks, _op_checks
+from meant.cli import MODEL_GATE, OP_GATE, _model_checks, _op_checks
 from meant.tensor import Tensor
 
 SCALED = ("def bwd(g):\n", "def bwd(g):\n        g = g * (1 + 1e-4)\n")
@@ -42,8 +42,7 @@ MUTANTS = {
     "gelu drops x * pdf": (
         "gelu", "g * (cdf + x.data * pdf)", "g * cdf", "gelu"),
     "rotate_pairs flips the sign of sin": (
-        "rotate_pairs", "_swap_pairs(g * signed_sin)",
-        "_swap_pairs(g * -signed_sin)", "rotary"),
+        "rotate_pairs", "_rotate(g, cos, -sin)", "_rotate(g, cos, sin)", "rotary"),
     "__getitem__ assigns repeated rows": (
         "Tensor.__getitem__", "np.add.at(full, key, g)", "full[key] = g",
         "gather"),
@@ -79,10 +78,10 @@ def reading(line: str) -> tuple[float, float]:
     """The error and the gate of one ``meant gradcheck`` line."""
     for name, err in _op_checks(np.random.default_rng(7)):
         if name == line:
-            return err, 1e-6
+            return err, OP_GATE
     for label, err in _model_checks():
         if label == line:
-            return err, 1e-4
+            return err, MODEL_GATE
     raise KeyError(line)
 
 

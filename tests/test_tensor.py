@@ -395,8 +395,8 @@ class TestFusedLayerNorm:
 class TestRotatePairs:
     def test_rotates_each_pair(self):
         x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
-        cos = np.array([[0.0, 0.0, 1.0, 1.0]])
-        sin = np.array([[1.0, 1.0, 0.0, 0.0]])
+        cos = np.array([[0.0, 1.0]])
+        sin = np.array([[1.0, 0.0]])
         # a quarter turn on the first pair, identity on the second
         assert np.array_equal(rotate_pairs(x, cos, sin).data, [[-2.0, 1.0, 3.0, 4.0]])
 
@@ -406,22 +406,21 @@ class TestRotatePairs:
 
     def test_grad_check_with_scaled_tables(self):
         # unrelated, non-unit cos/sin entries stand for a folded xPos scale
-        cos, sin = rand(4, 6, seed=1).data, rand(4, 6, seed=2).data
+        cos, sin = rand(4, 3, seed=1).data, rand(4, 3, seed=2).data
         probe = rand(2, 4, 6, seed=3)
         err = grad_check(lambda x: (rotate_pairs(x, cos, sin) * probe).sum(),
                          rand(2, 4, 6))
         assert err < 1e-6
 
     def test_single_pair_leaves_input_intact(self):
-        # a last axis of 2 is one pair per row, where swapping the pair
-        # reshapes to a view of the input rather than a copy
+        # a last axis of 2 is one pair per row
         x = rand(3, 5, 2)
         before = x.data.copy()
-        cos, sin = rand(5, 2, seed=1).data, rand(5, 2, seed=2).data
+        cos, sin = rand(5, 1, seed=1).data, rand(5, 1, seed=2).data
         out = rotate_pairs(x, cos, sin).data
         x1, x2 = before[..., 0], before[..., 1]
         expected = np.stack([x1 * cos[:, 0] - x2 * sin[:, 0],
-                             x2 * cos[:, 1] + x1 * sin[:, 1]], axis=-1)
+                             x2 * cos[:, 0] + x1 * sin[:, 0]], axis=-1)
         assert np.array_equal(x.data, before)
         assert np.allclose(out, expected, rtol=1e-14, atol=1e-14)
         assert not np.shares_memory(out, x.data)
@@ -429,6 +428,28 @@ class TestRotatePairs:
         err = grad_check(lambda t: (rotate_pairs(t, cos, sin) * probe).sum(),
                          rand(3, 5, 2))
         assert err < 1e-6
+
+    def test_matches_pair_formulas_on_split_heads(self):
+        # q as MultiHeadAttention._split leaves it: a strided (b, h, n, d)
+        # view of (b, n, h * d); the forward is the rotation and the
+        # backward its transpose, each pair lane by lane and bit for bit
+        b, h, n, d = 2, 3, 5, 8
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(b, n, h * d)), requires_grad=True)
+        heads = x.reshape(b, n, h, d).transpose(0, 2, 1, 3)
+        assert not heads.data.flags.c_contiguous
+        cos, sin = rng.normal(size=(n, d // 2)), rng.normal(size=(n, d // 2))
+        g = rng.normal(size=(b, h, n, d))
+        out = rotate_pairs(heads, cos, sin)
+        (out * Tensor(g)).sum().backward()
+        dx = x.grad.reshape(b, n, h, d).transpose(0, 2, 1, 3)
+        x0, x1 = heads.data[..., 0::2], heads.data[..., 1::2]
+        g0, g1 = g[..., 0::2], g[..., 1::2]
+        for got, want in ((out.data[..., 0::2], x0 * cos - x1 * sin),
+                          (out.data[..., 1::2], x1 * cos + x0 * sin),
+                          (dx[..., 0::2], g0 * cos + g1 * sin),
+                          (dx[..., 1::2], g1 * cos - g0 * sin)):
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 class TestGraphLifetime:
@@ -480,7 +501,8 @@ class TestGraphLifetime:
         labels = rng.integers(0, 2, size=8)
 
         def step():
-            model.zero_grad()
+            for p in model.params().values():
+                p.zero_grad()
             cross_entropy(model(ids, macd, None), labels).backward()
 
         for _ in range(3):
